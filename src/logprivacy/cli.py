@@ -26,7 +26,7 @@ from .background import BkType, DEFAULT_CANDIDATE_CAP, enumerate_candidates
 from .errors import CandidateLimitError, ConfigError, InputError, LogPrivacyError, SolverError
 from .event_log import ColumnMapping, EventLog, IngestResult, build_log, ingest_csv, ingest_xes, stats
 from .risk import Aggregation, risk_profile
-from .utility import build_problem, data_utility, solve, write_plan_csv
+from .utility import build_problem, data_utility, solve, utility_report, write_plan_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -307,27 +307,24 @@ def _cmd_utility(args) -> int:
             sink_counts=None,
             sink_total=None,
         )
-    plan = solve(problem)
+    utility = utility_report(solve(problem))
     timing["utility"] = time.perf_counter() - t0
-    if plan.objective < -1e-9 or plan.objective > 1.0 + 1e-9:
-        raise SolverError(f"utility loss {plan.objective!r} escaped [0, 1]")
-    ul = min(max(plan.objective, 0.0), 1.0)
     results = {
-        "ul": ul,
-        "du": 1.0 - ul,
+        "ul": utility.ul,
+        "du": utility.du,
         "n_sources": len(problem.source_variants),
         "n_sinks": len(problem.sink_variants),
-        "n_flows": len(plan.flows),
+        "n_flows": len(utility.plan.flows),
     }
     if args.plan_out:
         with open(args.plan_out, "w", newline="") as fh:
-            write_plan_csv(problem, plan, fh)
+            write_plan_csv(problem, utility.plan, fh)
     report = _report(
         "utility", {args.original: digest_a, args.anonymized: digest_b}, results, timing
     )
     if args.table:
-        print(f"utility loss (ul): {ul:.3f}")
-        print(f"data utility (du): {1.0 - ul:.3f}")
+        print(f"utility loss (ul): {utility.ul:.3f}")
+        print(f"data utility (du): {utility.du:.3f}")
     else:
         _emit_json(report)
     return EXIT_OK

@@ -96,8 +96,8 @@ def risk_profile(
 ) -> RiskProfile:
     """Compute one RiskScore per (type, size) cell of the requested grid.
 
-    Cells whose enumeration hits the candidate cap are recorded as skipped
-    with the error text; the remaining cells are still computed.
+    Cells whose enumeration hits the candidate cap are recorded in
+    ``failures`` with the error text; the remaining cells are still computed.
     """
     type_list = list(types)
     size_list = list(sizes)

@@ -5,15 +5,21 @@ compared with a balanced transportation problem whose ground cost is the
 normalized edit distance between variants.  The minimal reallocation cost is
 the utility loss ``ul``; data utility is ``du = 1 - ul``.
 
-The solve is an exact transportation simplex over the bipartite basis tree.
-When the problem comes from two logs, marginals are integerized (trace counts
-cross-scaled by the other log's total) so the pivoting arithmetic is exact;
-floating point enters only through costs and potentials.
+The solve is a primal network simplex on the bipartite graph plus an
+artificial root.  It starts from a strongly feasible star tree, prices arcs in
+row blocks and picks leaving arcs by Cunningham's rule, so the many degenerate
+pivots that tied edit distances cause can neither cycle nor stall.  When the
+problem comes from two logs, marginals are integerized (trace counts
+cross-scaled by the other log's total) so the flow arithmetic is exact;
+floating point enters only through costs and potentials.  A plan is returned
+only with its certificate: a full pricing pass finds no negative reduced cost,
+no mass is left on an artificial arc, and the flows reproduce both marginals.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import TextIO
 
@@ -25,9 +31,9 @@ from .event_log import EventLog
 
 _MASS_TOL = 1e-9
 _REDUCED_COST_TOL = 1e-9
-# Consecutive degenerate pivots before switching the entering rule to
-# Bland's, which cannot cycle.
-_STALL_LIMIT = 64
+# Only a guard against an endless loop: strongly feasible trees cannot cycle,
+# and log pairs need far fewer pivots than arcs.
+_PIVOTS_PER_ARC = 20
 
 LabelTrace = tuple[str, ...]
 
@@ -128,74 +134,18 @@ def _validate_masses(problem: TransportProblem) -> None:
             )
 
 
-def _northwest_corner(supply: list, demand: list):
-    """Initial basic feasible solution with exactly m+n-1 (possibly zero) arcs."""
-    m, n = len(supply), len(demand)
-    flow: dict[tuple[int, int], object] = {}
-    i = j = 0
-    while i < m and j < n:
-        q = min(supply[i], demand[j])
-        flow[(i, j)] = q
-        supply[i] -= q
-        demand[j] -= q
-        if i == m - 1 and j == n - 1:
-            break
-        if supply[i] == 0 and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
-        else:
-            i += 1
-    return flow
-
-
-def _tree_path(adj: list[set[int]], start: int, goal: int) -> list[int]:
-    parent = {start: -1}
-    queue = [start]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        if node == goal:
-            path = [node]
-            while parent[path[-1]] != -1:
-                path.append(parent[path[-1]])
-            path.reverse()
-            return path
-        for nb in adj[node]:
-            if nb not in parent:
-                parent[nb] = node
-                queue.append(nb)
-    raise SolverError("basis lost its spanning-tree structure")
-
-
-def _potentials(adj: list[set[int]], cost: np.ndarray, m: int, n: int):
-    pot = [None] * (m + n)
-    pot[0] = 0.0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        for nb in adj[node]:
-            if pot[nb] is None:
-                if node < m:
-                    pot[nb] = cost[node, nb - m] - pot[node]
-                else:
-                    pot[nb] = cost[nb, node - m] - pot[node]
-                queue.append(nb)
-    if any(p is None for p in pot):
-        raise SolverError("basis lost its spanning-tree structure")
-    return np.array(pot[:m]), np.array(pot[m:])
-
-
 def solve(problem: TransportProblem) -> TransportPlan:
     """Solve the balanced problem exactly; never returns an uncertified plan.
 
-    Entering arcs are chosen by the most negative reduced cost (first in
-    row-major order on ties); leaving arcs by minimal flow with the lowest
-    index breaking ties.  After a run of degenerate pivots the entering rule
-    falls back to Bland's, which guarantees termination.
+    Each source starts with an arc to the root and the root with an arc to
+    each sink, carrying the full masses at a cost no optimum pays, so every
+    tree arc pointing away from the root carries positive flow (the tree is
+    strongly feasible).  The entering arc is the most negative reduced cost in
+    the next row block of about sqrt(m*n) arcs; the leaving arc is the last
+    blocking arc on the cycle counted from its join node (Cunningham 1976),
+    which keeps the tree strongly feasible.  Only the subtree cut off by the
+    leaving arc gets new potentials and depths.  The solve stops when a full
+    pass over the blocks finds no reduced cost below ``-_REDUCED_COST_TOL``.
     """
     _validate_masses(problem)
     cost = np.asarray(problem.cost, dtype=np.float64)
@@ -205,83 +155,114 @@ def solve(problem: TransportProblem) -> TransportPlan:
         supply = [c * problem.sink_total for c in problem.source_counts]
         demand = [c * problem.source_total for c in problem.sink_counts]
         unit = 1.0 / (problem.source_total * problem.sink_total)
+        artificial_tol = 0
     else:
         supply = list(problem.source_masses)
         demand = list(problem.sink_masses)
         unit = 1.0
+        artificial_tol = _MASS_TOL
 
-    flow = _northwest_corner(supply, demand)
-    adj: list[set[int]] = [set() for _ in range(m + n)]
-    basic = np.zeros((m, n), dtype=bool)
-    for (i, j) in flow:
-        adj[i].add(m + j)
-        adj[m + j].add(i)
-        basic[i, j] = True
+    # Nodes: sources 0..m-1, sinks m..m+n-1, the root m+n.  Every arc runs
+    # from a source or the root to a sink or the root, so a node's tree arc
+    # points up towards its parent exactly when the node is a source.  The
+    # arc's flow is kept on the node below it.
+    root = m + n
+    big = (m + n + 1) * (float(cost.max()) + 1.0)
+    parent = [root] * (m + n) + [-1]
+    flow = supply + demand + [0]
+    depth = [1] * (m + n) + [0]
+    children = [set() for _ in range(m + n)] + [set(range(m + n))]
+    # Tree arcs have zero reduced cost c(u, v) + pi[u] - pi[v].
+    pi = np.concatenate([np.full(m, -big), np.full(n, big), [0.0]])
+    pi_source, pi_sink = pi[:m], pi[m:root]
 
-    def current_objective() -> float:
-        return float(sum(f * cost[i, j] for (i, j), f in sorted(flow.items())))
-
-    max_iter = 1000 + 50 * (m + n)
-    bland = False
-    stall = 0
-    optimal = current_objective() == 0.0  # costs are >= 0, so 0 is a certificate
-    iterations = 0
-    while not optimal:
-        iterations += 1
-        if iterations > max_iter:
+    rows = math.ceil(math.isqrt(m * n) / n)
+    n_blocks = math.ceil(m / rows)
+    max_pivots = _PIVOTS_PER_ARC * m * n
+    pivots = clean = r0 = 0
+    while clean < n_blocks:
+        r1 = min(r0 + rows, m)
+        reduced = cost[r0:r1] + pi_source[r0:r1, None] - pi_sink
+        best = int(reduced.argmin())
+        rc = float(reduced.flat[best])
+        first, second = r0 + best // n, m + best % n
+        r0 = r1 % m
+        if rc >= -_REDUCED_COST_TOL:
+            clean += 1
+            continue
+        clean = 0
+        pivots += 1
+        if pivots > max_pivots:
             raise SolverError(
-                f"no optimality certificate after {max_iter} pivots ({m}x{n} problem)"
+                f"no optimality certificate after {max_pivots} pivots ({m}x{n} problem)"
             )
-        pot_row, pot_col = _potentials(adj, cost, m, n)
-        reduced = cost - pot_row[:, None] - pot_col[None, :]
-        reduced[basic] = np.inf
-        if bland:
-            negative = reduced.ravel() < -_REDUCED_COST_TOL
-            if not negative.any():
-                optimal = True
-                break
-            flat = int(np.argmax(negative))
+
+        # Walk both sides of the cycle up to the join node.  The cycle runs
+        # first -> second over the entering arc, so the flow falls on the
+        # source arcs of the first side and on the sink arcs of the second.
+        a, b = first, second
+        theta_a = theta_b = math.inf
+        out_a = out_b = -1
+        while a != b:
+            if depth[a] >= depth[b]:
+                if a < m and flow[a] < theta_a:
+                    theta_a, out_a = flow[a], a
+                a = parent[a]
+            else:
+                if b >= m and flow[b] <= theta_b:
+                    theta_b, out_b = flow[b], b
+                b = parent[b]
+        join = a
+        if theta_b <= theta_a:
+            theta, u_out, u_in, v_in = theta_b, out_b, second, first
         else:
-            flat = int(np.argmin(reduced))
-            if reduced.ravel()[flat] >= -_REDUCED_COST_TOL:
-                optimal = True
+            theta, u_out, u_in, v_in = theta_a, out_a, first, second
+
+        if theta:
+            v = first
+            while v != join:
+                flow[v] += -theta if v < m else theta
+                v = parent[v]
+            v = second
+            while v != join:
+                flow[v] += theta if v < m else -theta
+                v = parent[v]
+
+        # Hang u_in below v_in on the entering arc, reversing the tree path
+        # u_in .. u_out; the leaving arc above u_out drops out.
+        v, new_parent, carried = u_in, v_in, theta
+        while True:
+            old_parent, old_flow = parent[v], flow[v]
+            children[old_parent].discard(v)
+            children[new_parent].add(v)
+            parent[v], flow[v] = new_parent, carried
+            if v == u_out:
                 break
-        ei, ej = divmod(flat, n)
+            v, new_parent, carried = old_parent, v, old_flow
 
-        path = _tree_path(adj, m + ej, ei)
-        plus_arcs: list[tuple[int, int]] = []
-        minus_arcs: list[tuple[int, int]] = []
-        for k in range(len(path) - 1):
-            a, b = path[k], path[k + 1]
-            arc = (b, a - m) if a >= m else (a, b - m)
-            (minus_arcs if k % 2 == 0 else plus_arcs).append(arc)
+        # The moved subtree keeps its internal arcs, so its potentials shift
+        # by one amount that zeroes the entering arc's reduced cost.
+        depth[u_in] = depth[v_in] + 1
+        stack = [u_in]
+        moved = []
+        while stack:
+            v = stack.pop()
+            moved.append(v)
+            below = depth[v] + 1
+            for c in children[v]:
+                depth[c] = below
+                stack.append(c)
+        pi[moved] += -rc if u_in == first else rc
 
-        theta = min(flow[arc] for arc in minus_arcs)
-        leaving = min(arc for arc in minus_arcs if flow[arc] == theta)
-        for arc in plus_arcs:
-            flow[arc] += theta
-        for arc in minus_arcs:
-            flow[arc] -= theta
-        del flow[leaving]
-        adj[leaving[0]].discard(m + leaving[1])
-        adj[m + leaving[1]].discard(leaving[0])
-        basic[leaving] = False
-        flow[(ei, ej)] = theta
-        adj[ei].add(m + ej)
-        adj[m + ej].add(ei)
-        basic[ei, ej] = True
-
-        if theta == 0:
-            stall += 1
-            if stall >= _STALL_LIMIT:
-                bland = True
-        else:
-            stall = 0
-            optimal = current_objective() == 0.0
-
-    mass_flows = {
-        (i, j): f * unit for (i, j), f in sorted(flow.items()) if f > 0
-    }
+    if sum(flow[v] for v in children[root]) > artificial_tol:
+        raise SolverError("optimal plan leaves mass on an artificial arc")
+    mass_flows = dict(
+        sorted(
+            ((v, u - m) if v < m else (u, v - m), flow[v] * unit)
+            for v, u in enumerate(parent[:root])
+            if u != root and flow[v] > 0
+        )
+    )
     objective = float(sum(f * cost[i, j] for (i, j), f in mass_flows.items()))
 
     row_sums = [0.0] * m
@@ -296,14 +277,33 @@ def solve(problem: TransportProblem) -> TransportPlan:
     return TransportPlan(flows=mass_flows, objective=objective)
 
 
-def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
-    """Utility loss and preserved data utility between two logs."""
-    plan = solve(build_problem(original, anonymized))
+def utility_report(plan: TransportPlan) -> UtilityReport:
+    """Read an optimal plan's objective as utility loss in [0, 1].
+
+    An objective outside [0, 1] by more than float dust is a solver fault;
+    within it, the loss is clamped so ``du = 1 - ul`` stays in range.
+    """
     ul = plan.objective
     if ul < -_MASS_TOL or ul > 1.0 + _MASS_TOL:
         raise SolverError(f"utility loss {ul!r} escaped [0, 1]")
     ul = min(max(ul, 0.0), 1.0)
     return UtilityReport(ul=ul, du=1.0 - ul, plan=plan)
+
+
+def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
+    """Utility loss and preserved data utility between two logs.
+
+    Logs with the same labelled variants and counts lose nothing: the
+    identity plan is returned without building the cost matrix.
+    """
+    if original == anonymized:
+        sink = {anonymized.variant_labels(v): j for j, v in enumerate(anonymized.variants)}
+        flows = {
+            (i, sink[original.variant_labels(v)]): c / original.total_traces
+            for i, (v, c) in enumerate(zip(original.variants, original.counts))
+        }
+        return UtilityReport(ul=0.0, du=1.0, plan=TransportPlan(flows=flows, objective=0.0))
+    return utility_report(solve(build_problem(original, anonymized)))
 
 
 def write_plan_csv(problem: TransportProblem, plan: TransportPlan, out: TextIO) -> None:

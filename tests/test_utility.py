@@ -10,13 +10,15 @@ import pytest
 from logprivacy import (
     EventLog,
     InputError,
+    SolverError,
     build_problem,
     data_utility,
     solve,
     write_plan_csv,
 )
-from logprivacy.utility import TransportProblem
-from oracles import greedy_feasible_objective, lp_min_cost, random_log
+from logprivacy import utility
+from logprivacy.utility import TransportPlan, TransportProblem, utility_report
+from oracles import greedy_feasible_objective, lp_min_cost, markov_log_pair, random_log
 
 
 def float_problem(supply, demand, cost) -> TransportProblem:
@@ -160,13 +162,26 @@ class TestSolverStress:
         assert plan.objective == pytest.approx(lp_min_cost(supply, demand, cost), abs=1e-9)
 
     def test_degenerate_equal_masses_terminate_and_match(self):
-        # every pivot candidate ties; exercises the stall/Bland safeguards
+        # every pivot candidate ties, so most pivots are degenerate
         m = n = 40
         supply = [1.0 / m] * m
         demand = [1.0 / n] * n
         cost = [[(abs(i - j) % 5) / 5.0 for j in range(n)] for i in range(m)]
         plan = solve(float_problem(supply, demand, cost))
         assert plan.objective == pytest.approx(lp_min_cost(supply, demand, cost), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "seed,n_traces",
+        [(0, 110), (0, 130), (0, 150), (0, 170), (1, 130), (1, 170), (0, 400), (0, 800)],
+    )
+    def test_markov_log_pairs_match_oracle(self, seed, n_traces):
+        # Real-log-shaped pairs: mostly distinct variants, costs with few
+        # distinct values.  The 800-trace pair is about 680x660.
+        original, anonymized = markov_log_pair(seed, n_traces)
+        problem = build_problem(original, anonymized)
+        plan = solve(problem)
+        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
+        assert plan.objective == pytest.approx(oracle, abs=1e-9)
 
     def test_solve_is_deterministic(self):
         supply = [0.25] * 4
@@ -194,6 +209,28 @@ class TestDataUtility:
             report = data_utility(log, log)
             assert report.ul == 0.0
             assert report.du == 1.0
+
+    def test_equal_logs_skip_the_cost_matrix(self, example1_log, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("distance_matrix called for equal logs")
+
+        monkeypatch.setattr(utility, "distance_matrix", no_matrix)
+        twin = EventLog.from_counts(
+            {example1_log.variant_labels(v): example1_log.count(v) for v in example1_log.variants}
+        )
+        report = data_utility(example1_log, twin)
+        assert (report.ul, report.du, report.plan.objective) == (0.0, 1.0, 0.0)
+        assert report.plan.flows == {(0, 0): 0.2, (1, 1): 0.3, (2, 2): 0.4, (3, 3): 0.1}
+        # ids not assigned in label order: the plan pairs variants by label
+        unsorted = EventLog([(0, 1), (1,)], [3, 1], ["b", "a"])
+        sorted_ids = EventLog.from_counts({("b", "a"): 3, ("a",): 1})
+        assert data_utility(unsorted, sorted_ids).plan.flows == {(0, 1): 0.75, (1, 0): 0.25}
+
+    def test_float_dust_is_clamped_and_escapes_are_solver_faults(self):
+        assert utility_report(TransportPlan({}, 1.0 + 1e-12)).du == 0.0
+        assert utility_report(TransportPlan({}, -1e-12)).ul == 0.0
+        with pytest.raises(SolverError, match="escaped"):
+            utility_report(TransportPlan({}, 1.5))
 
     def test_symmetry_on_random_pairs(self):
         rng = random.Random(2024)
