@@ -3,32 +3,50 @@
 An adversary is assumed to know a size-l piece of a victim's trace: which
 activities occurred (set), how often they occurred (multiset), or in which
 order some of them occurred (subsequence).  This module enumerates every such
-candidate that matches at least one trace of a log, together with the
-multiset of traces consistent with it.
+candidate that matches at least one trace of a log, together with the two
+aggregates of its matching traces that the risk measures read.
 
-Enumeration never ranges over the full activity alphabet: a candidate has a
-non-empty projection exactly when some variant contains it, so candidates are
-generated per variant (subsets, sub-multisets, distinct subsequences) and
-deduplicated globally.  Candidates are encoded as fixed-width packed integers
-whenever the ids fit into 63 bits, which keeps indices for real logs compact;
-wider candidates fall back to tuple keys.
+Enumeration never ranges over the full activity alphabet.  It grows a
+frontier of partial candidates inside the variants, one activity per level,
+so only candidates with a non-empty projection are ever produced.  A frontier
+row is (variant, state, packed key), and every candidate a variant contains
+is reached from it along exactly one path:
 
-For very incidence-heavy logs (many long, diverse traces) the index stops
-materializing per-candidate variant lists and keeps only the per-candidate
-aggregates the risk measures consume; projections are then recomputed on
-demand.  Memory is therefore bounded by the candidate cap, not by how many
-variants each candidate matches.
+* subsequence: the state is a position in a per-log next-occurrence table;
+  the successor for activity a is the first occurrence of a after it;
+* multiset: the state is the last activity and how many of its copies are
+  used; the successor activity must be greater, or equal while the variant
+  still has copies of it;
+* set: the multiset rule over each variant's distinct activities, so the
+  successor activity must be strictly greater.
+
+A level is one vectorized step over the frontier for all activities at once,
+and rows that can no longer reach the requested size are dropped as they
+arise.  Candidates with different first activities have disjoint key ranges,
+so after the first level the frontier is split by first activity, and each
+part is expanded depth first in chunks of a bounded number of states, so the
+frontier's memory stays bounded however long the traces are.  The tables a
+step reads are built once per call and not chunked: the next-occurrence
+table holds one int32 per activity for every event and every end of the
+log's variants, and the multiset tables two per activity and variant.  So
+they grow with variant events x alphabet; 100k variants of 50 events over 200
+activities would need about 4 GB for the subsequence table.  Only the last
+level is reduced, straight to each candidate's cardinality and entropy sum,
+by sorting the keys and summing runs of equal ones.  Keys are fixed-width
+packed integers, split over several 63-bit words when the alphabet and size
+need more bits.
+
+The index keeps only those aggregates; a candidate's matching variants are
+recomputed by :func:`project` when asked for.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -37,13 +55,8 @@ from .event_log import EventLog, Variant
 
 DEFAULT_CANDIDATE_CAP = 50_000_000
 
-# Incidence buffers are compacted into sorted arrays at the first variant
-# boundary past this many entries; bounds transient memory, not candidates.
-_COMPACT_CHUNK = 1 << 23
-
-# Past this many total (candidate, variant) incidences the index keeps only
-# per-candidate aggregates instead of full variant lists.
-_FULL_INCIDENCE_LIMIT = 1 << 25
+# Frontier states examined by one expansion step; bounds its transient memory.
+_FRONTIER_CAP = 1 << 18
 
 
 class BkType(Enum):
@@ -112,126 +125,17 @@ def project(log: EventLog, candidate: Candidate) -> Projection:
     return Projection(matches=found, cardinality=sum(found.values()))
 
 
-# -- per-variant pattern generation (packed-key fast path) -------------------
 
-
-class _LimitExceeded(Exception):
-    pass
-
-
-def _emit_sets(v: Variant, size: int, bits: int, out: array, budget: int) -> None:
-    distinct = sorted(set(v))
-    if len(distinct) < size:
-        return
-    emitted = 0
-    for combo in itertools.combinations(distinct, size):
-        key = 0
-        for e in combo:
-            key = (key << bits) | e
-        out.append(key)
-        emitted += 1
-        if emitted > budget:
-            raise _LimitExceeded
-
-
-def _emit_multisets(v: Variant, size: int, bits: int, out: array, budget: int) -> None:
-    items = sorted(Counter(v).items())
-    avail = [0] * (len(items) + 1)
-    for i in range(len(items) - 1, -1, -1):
-        avail[i] = avail[i + 1] + items[i][1]
-    if avail[0] < size:
-        return
-    start = len(out)
-
-    def rec(i: int, remaining: int, key: int) -> None:
-        if remaining == 0:
-            out.append(key)
-            if len(out) - start > budget:
-                raise _LimitExceeded
-            return
-        if i == len(items) or avail[i] < remaining:
-            return
-        act, mult = items[i]
-        k = key
-        for t in range(min(mult, remaining) + 1):
-            rec(i + 1, remaining - t, k)
-            k = (k << bits) | act
-
-    rec(0, size, 0)
-
-
-def _emit_subsequences(v: Variant, size: int, bits: int, out: array, budget: int) -> None:
-    n = len(v)
-    if n < size:
-        return
-    # first_at[p][a] = first position >= p where activity a occurs
-    first_at: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    cur: dict[int, int] = {}
-    for p in range(n - 1, -1, -1):
-        cur = dict(cur)
-        cur[v[p]] = p
-        first_at[p] = cur
-    start = len(out)
-
-    def rec(p: int, remaining: int, key: int) -> None:
-        if remaining == 1:
-            out.extend([(key << bits) | a for a in first_at[p]])
-            if len(out) - start > budget:
-                raise _LimitExceeded
-            return
-        for a, i in first_at[p].items():
-            if n - i >= remaining:
-                rec(i + 1, remaining - 1, (key << bits) | a)
-
-    rec(0, size, 0)
-
-
-_EMITTERS = {
-    BkType.SET: _emit_sets,
-    BkType.MULTISET: _emit_multisets,
-    BkType.SEQUENCE: _emit_subsequences,
-}
-
-
-# -- per-variant pattern generation (tuple fallback) -------------------------
-
-
-def _tuple_patterns(v: Variant, bk_type: BkType, size: int) -> Iterator[tuple[int, ...]]:
-    if bk_type is BkType.SET:
-        yield from itertools.combinations(sorted(set(v)), size)
-        return
-    if bk_type is BkType.MULTISET:
-        items = sorted(Counter(v).items())
-
-        def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if remaining == 0:
-                yield prefix
-                return
-            if i == len(items):
-                return
-            act, mult = items[i]
-            for t in range(min(mult, remaining) + 1):
-                yield from rec(i + 1, remaining - t, prefix + (act,) * t)
-
-        yield from rec(0, size, ())
-        return
-    n = len(v)
-    first_at: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    cur: dict[int, int] = {}
-    for p in range(n - 1, -1, -1):
-        cur = dict(cur)
-        cur[v[p]] = p
-        first_at[p] = cur
-
-    def seq_rec(p: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield prefix
-            return
-        for a, i in first_at[p].items():
-            if n - i >= remaining:
-                yield from seq_rec(i + 1, remaining - 1, prefix + (a,))
-
-    yield from seq_rec(0, size, ())
+def _pack(elements: Sequence[int], bits: int) -> list[int]:
+    """Key words of a candidate: ``63 // bits`` elements per word, first element highest."""
+    per_word = 63 // bits
+    words = []
+    for lo in range(0, len(elements), per_word):
+        word = 0
+        for e in elements[lo : lo + per_word]:
+            word = (word << bits) | e
+        words.append(word)
+    return words
 
 
 # -- the index ---------------------------------------------------------------
@@ -240,11 +144,11 @@ def _tuple_patterns(v: Variant, bk_type: BkType, size: int) -> Iterator[tuple[in
 class CandidateIndex:
     """All size-l candidates of one type with non-empty projections.
 
-    Candidates live in canonical ascending order.  When the variant-index
-    layout was retained, projections come straight from it; otherwise they
-    are recomputed by scanning the log.  The per-candidate aggregates that
-    the risk measures need (projection cardinality and the entropy sum
-    ``sum(count * log2 count)``) are always available in vector form.
+    Candidates live in canonical ascending order as packed key words, one
+    int64 array per word.  Besides the keys the index holds only what the
+    risk measures read: each candidate's multiplicity-weighted projection
+    size and its entropy sum ``sum(count * log2 count)`` over matching
+    variants.  Projections are recomputed with :func:`project` on demand.
     """
 
     def __init__(
@@ -252,20 +156,16 @@ class CandidateIndex:
         log: EventLog,
         bk_type: BkType,
         size: int,
-        keys: "np.ndarray | list[tuple[int, ...]]",
-        bits: int | None,
-        var_idx: np.ndarray | None = None,
-        offsets: np.ndarray | None = None,
-        cards: np.ndarray | None = None,
-        entsums: np.ndarray | None = None,
+        words: Sequence[np.ndarray],
+        bits: int,
+        cards: np.ndarray,
+        entsums: np.ndarray,
     ):
         self._log = log
         self.bk_type = bk_type
         self.size = size
-        self._keys = keys
+        self._words = tuple(words)
         self._bits = bits
-        self._var_idx = var_idx
-        self._offsets = offsets
         self._cards = cards
         self._entsums = entsums
 
@@ -275,104 +175,68 @@ class CandidateIndex:
 
     @property
     def candidate_count(self) -> int:
-        return len(self._keys)
-
-    @property
-    def has_variant_lists(self) -> bool:
-        return self._var_idx is not None
+        return len(self._cards)
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._cards)
 
     def _decode(self, pos: int) -> Candidate:
-        if self._bits is None:
-            elements = self._keys[pos]
-        else:
-            key = int(self._keys[pos])
-            mask = (1 << self._bits) - 1
-            elements = tuple(
-                (key >> (self._bits * (self.size - 1 - i))) & mask for i in range(self.size)
-            )
+        mask = (1 << self._bits) - 1
+        per_word = 63 // self._bits
+        elements = []
+        for w, column in enumerate(self._words):
+            n = min(per_word, self.size - w * per_word)
+            word = int(column[pos])
+            elements.extend((word >> (self._bits * (n - 1 - i))) & mask for i in range(n))
         return Candidate(self.bk_type, tuple(elements))
 
     def _position(self, candidate: Candidate) -> int | None:
         if candidate.kind is not self.bk_type or candidate.size != self.size:
             return None
-        if self._bits is None:
-            pos = bisect.bisect_left(self._keys, candidate.elements)
-            if pos < len(self._keys) and self._keys[pos] == candidate.elements:
-                return pos
+        if any(not 0 <= e < (1 << self._bits) for e in candidate.elements):
             return None
-        key = 0
-        for e in candidate.elements:
-            if e >= (1 << self._bits):
-                return None
-            key = (key << self._bits) | e
-        pos = int(np.searchsorted(self._keys, key))
-        if pos < len(self._keys) and int(self._keys[pos]) == key:
-            return pos
-        return None
+        lo, hi = 0, len(self)
+        for column, word in zip(self._words, _pack(candidate.elements, self._bits)):
+            part = column[lo:hi]
+            lo, hi = (
+                lo + int(np.searchsorted(part, word, "left")),
+                lo + int(np.searchsorted(part, word, "right")),
+            )
+        return lo if lo < hi else None
 
     def __contains__(self, candidate: object) -> bool:
         return isinstance(candidate, Candidate) and self._position(candidate) is not None
 
     def candidates(self) -> Iterator[Candidate]:
-        for pos in range(len(self._keys)):
+        for pos in range(len(self)):
             yield self._decode(pos)
 
-    def _projection_at(self, pos: int) -> Projection:
-        if self._var_idx is None:
-            return project(self._log, self._decode(pos))
-        lo, hi = int(self._offsets[pos]), int(self._offsets[pos + 1])
-        found = {}
-        card = 0
-        for vi in self._var_idx[lo:hi]:
-            v = self._log.variants[vi]
-            c = self._log.counts[vi]
-            found[v] = c
-            card += c
-        return Projection(matches=found, cardinality=card)
-
     def projection(self, candidate: Candidate) -> Projection:
-        pos = self._position(candidate)
-        if pos is None:
+        if self._position(candidate) is None:
             raise KeyError(f"candidate {candidate!r} is not in this index")
-        return self._projection_at(pos)
+        return project(self._log, candidate)
 
     def items(self) -> Iterator[tuple[Candidate, Projection]]:
-        for pos in range(len(self._keys)):
-            yield self._decode(pos), self._projection_at(pos)
+        for candidate in self.candidates():
+            yield candidate, project(self._log, candidate)
 
     def cardinalities(self) -> np.ndarray:
         """Multiplicity-weighted projection size per candidate, canonical order."""
-        if self._cards is None:
-            if len(self._keys) == 0:
-                self._cards = np.zeros(0, dtype=np.int64)
-            else:
-                counts = np.asarray(self._log.counts, dtype=np.int64)
-                self._cards = np.add.reduceat(counts[self._var_idx], self._offsets[:-1])
         return self._cards
 
     def entropy_sums(self) -> np.ndarray:
         """Per candidate: sum over matching variants of count*log2(count)."""
-        if self._entsums is None:
-            if len(self._keys) == 0:
-                self._entsums = np.zeros(0, dtype=np.float64)
-            else:
-                counts = np.asarray(self._log.counts, dtype=np.float64)
-                clog = counts * np.log2(counts)
-                self._entsums = np.add.reduceat(clog[self._var_idx], self._offsets[:-1])
         return self._entsums
 
     def to_dict(self) -> dict[Candidate, dict[Variant, int]]:
-        """Materialize the full index; intended for tests and small logs."""
+        """Materialize every projection; intended for tests and small logs."""
         return {cand: dict(proj.matches) for cand, proj in self.items()}
 
     def write_csv(self, out: TextIO) -> None:
         """Debug dump: one ``candidate,cardinality`` line in canonical order."""
         labels = self._log.labels
         out.write("candidate,cardinality\n")
-        for pos, card in enumerate(self.cardinalities()):
+        for pos, card in enumerate(self._cards):
             cand = self._decode(pos)
             name = "|".join(labels[a] for a in cand.elements)
             out.write(f"{name},{int(card)}\n")
@@ -380,119 +244,104 @@ class CandidateIndex:
 
 # -- enumeration -------------------------------------------------------------
 
+# A frontier state is a tuple of arrays whose first member is the variant
+# index.  An expansion step takes the states and the number of elements still
+# to add after this one, and returns, for every successor, the row of its
+# parent, the activity it adds, and the successor states.
+_State = tuple[np.ndarray, ...]
+_Expand = Callable[[_State, int], tuple[np.ndarray, np.ndarray, _State]]
 
-class _IncidenceCollector:
-    """Accumulates (candidate key, variant index) incidences chunk by chunk.
 
-    Starts in *full* mode, retaining a CSR of variant indices per candidate.
-    Once total incidences exceed the retention limit it demotes itself to
-    *aggregate* mode, keeping only per-candidate cardinality and entropy
-    sums, merged associatively.  Either way the exact number of distinct
-    candidates is known at every variant boundary, so the cap check is exact.
-    """
+def _flatten(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
+    """Variant lengths, and the events of all variants end to end."""
+    lengths = np.fromiter(map(len, log.variants), dtype=np.int64, count=len(log.variants))
+    events = np.fromiter(
+        itertools.chain.from_iterable(log.variants), dtype=np.int64, count=int(lengths.sum())
+    )
+    return lengths, events
 
-    def __init__(self, log: EventLog, bk_type: BkType, size: int, cap: int):
-        self._bk_type = bk_type
-        self._size = size
-        self._cap = cap
-        counts = np.asarray(log.counts, dtype=np.int64)
-        self._counts = counts
-        self._clog = counts.astype(np.float64) * np.log2(counts.astype(np.float64))
-        self.keys_buf = array("q")
-        self.vars_buf = array("q")
-        self._full_parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = []
-        self._incidences = 0
-        self._seen: np.ndarray | None = None
-        self._agg: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def _check_cap(self, count: int) -> None:
-        if count > self._cap:
-            raise CandidateLimitError(self._bk_type, self._size, count=count, cap=self._cap)
+def _subsequence_frontier(log: EventLog) -> tuple[_State, _Expand]:
+    """Start states (variant, position) and expansion step for subsequences."""
+    n_labels = len(log.labels)
+    lengths, events = _flatten(log)
+    # Every variant owns one row per event and one end row after them.
+    ends = np.cumsum(lengths + 1) - 1
+    n_rows = int(ends[-1]) + 1
+    acts = np.full(n_rows, -1, dtype=np.int64)
+    is_event = np.ones(n_rows, dtype=bool)
+    is_event[ends] = False
+    acts[is_event] = events
+    row_end = np.repeat(ends, lengths + 1)
+    rows = np.arange(n_rows)
+    # nxt[p, a]: the first row at or after p of an event a in p's variant,
+    # or n_rows when there is none.
+    nxt = np.empty((n_rows, n_labels), dtype=np.int32 if n_rows < 2**31 - 1 else np.int64)
+    for a in range(n_labels):
+        first = np.minimum.accumulate(np.where(acts == a, rows, n_rows)[::-1])[::-1]
+        nxt[:, a] = np.where(first < row_end, first, n_rows)
 
-    def _sorted_chunk(self) -> tuple[np.ndarray, np.ndarray]:
-        keys = np.frombuffer(self.keys_buf, dtype=np.int64).copy()
-        vids = np.frombuffer(self.vars_buf, dtype=np.int64).copy()
-        order = np.argsort(keys, kind="stable")
-        del self.keys_buf[:], self.vars_buf[:]
-        return keys[order], vids[order]
+    def expand(state: _State, need: int):
+        variant, pos = state
+        succ = nxt[pos]
+        # The chosen event must leave at least ``need`` events after it.
+        flat = np.flatnonzero(succ < (ends[variant] - need)[:, None])
+        parent, act = np.divmod(flat, n_labels)
+        return parent, act, (variant[parent], succ.ravel()[flat] + 1)
 
-    def _chunk_aggregate(self, keys: np.ndarray, vids: np.ndarray):
-        uniq, group_sizes = np.unique(keys, return_counts=True)
-        starts = np.concatenate([[0], np.cumsum(group_sizes)])[:-1]
-        cards = np.add.reduceat(self._counts[vids], starts)
-        ents = np.add.reduceat(self._clog[vids], starts)
-        return uniq, cards, ents
+    return (np.arange(len(lengths)), ends - lengths), expand
 
-    def _merge_aggregate(self, other) -> None:
-        if self._agg is None:
-            self._agg = other
-        else:
-            keys = np.concatenate([self._agg[0], other[0]])
-            cards = np.concatenate([self._agg[1], other[1]])
-            ents = np.concatenate([self._agg[2], other[2]])
-            order = np.argsort(keys, kind="stable")
-            keys, cards, ents = keys[order], cards[order], ents[order]
-            uniq, group_sizes = np.unique(keys, return_counts=True)
-            starts = np.concatenate([[0], np.cumsum(group_sizes)])[:-1]
-            self._agg = (
-                uniq,
-                np.add.reduceat(cards, starts),
-                np.add.reduceat(ents, starts),
-            )
-        self._check_cap(len(self._agg[0]))
 
-    def _demote_to_aggregates(self) -> None:
-        parts, self._full_parts = self._full_parts, None
-        self._seen = None
-        for uniq, vids, offsets in parts:
-            cards = np.add.reduceat(self._counts[vids], offsets[:-1])
-            ents = np.add.reduceat(self._clog[vids], offsets[:-1])
-            self._merge_aggregate((uniq, cards, ents))
+def _bag_frontier(log: EventLog, distinct: bool) -> tuple[_State, _Expand]:
+    """Start states (variant, last activity, its copies used) and expansion
+    step for multisets, or for sets when ``distinct`` caps copies at one."""
+    n_labels = len(log.labels)
+    n_variants = len(log.variants)
+    lengths, events = _flatten(log)
+    owner = np.repeat(np.arange(n_variants), lengths)
+    copies = np.bincount(owner * n_labels + events, minlength=n_variants * n_labels)
+    copies = copies.reshape(n_variants, n_labels).astype(np.int32)
+    if distinct:
+        copies = np.minimum(copies, 1)
+    # room[v, a]: copies in v of activities a and above.
+    room = np.cumsum(copies[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
+    labels = np.arange(n_labels)
 
-    def compact(self) -> None:
-        if not self.keys_buf:
-            return
-        self._incidences += len(self.keys_buf)
-        keys, vids = self._sorted_chunk()
-        if self._full_parts is not None and self._incidences > _FULL_INCIDENCE_LIMIT:
-            self._demote_to_aggregates()
-        if self._full_parts is None:
-            self._merge_aggregate(self._chunk_aggregate(keys, vids))
-            return
-        uniq, group_sizes = np.unique(keys, return_counts=True)
-        offsets = np.concatenate([[0], np.cumsum(group_sizes)])
-        self._full_parts.append((uniq, vids, offsets))
-        self._seen = uniq if self._seen is None else np.union1d(self._seen, uniq)
-        self._check_cap(len(self._seen))
+    def expand(state: _State, need: int):
+        variant, last, used = state
+        # Copies of activity a the candidate holds once a is added.
+        take = np.where(labels == last[:, None], used[:, None] + 1, 1)
+        ok = labels >= last[:, None]
+        ok &= copies[variant] >= take
+        ok &= room[variant] - take >= need
+        flat = np.flatnonzero(ok)
+        parent, act = np.divmod(flat, n_labels)
+        return parent, act, (variant[parent], act, take.ravel()[flat])
 
-    def finish(self, log: EventLog, bits: int) -> CandidateIndex:
-        self.compact()
-        if self._full_parts is not None:
-            parts = self._full_parts
-            if not parts:
-                keys = np.zeros(0, dtype=np.int64)
-                var_idx = np.zeros(0, dtype=np.int64)
-                offsets = np.zeros(1, dtype=np.int64)
-            elif len(parts) == 1:
-                keys, var_idx, offsets = parts[0]
-            else:
-                all_keys = np.concatenate(
-                    [np.repeat(u, np.diff(off)) for u, _, off in parts]
-                )
-                all_vids = np.concatenate([vids for _, vids, _ in parts])
-                order = np.argsort(all_keys, kind="stable")
-                skeys = all_keys[order]
-                var_idx = all_vids[order]
-                keys, group_sizes = np.unique(skeys, return_counts=True)
-                offsets = np.concatenate([[0], np.cumsum(group_sizes)])
-            self._check_cap(len(keys))
-            return CandidateIndex(
-                log, self._bk_type, self._size, keys, bits, var_idx=var_idx, offsets=offsets
-            )
-        keys, cards, ents = self._agg
-        return CandidateIndex(
-            log, self._bk_type, self._size, keys, bits, cards=cards, entsums=ents
-        )
+    start = (np.arange(n_variants), np.full(n_variants, -1), np.zeros(n_variants, dtype=np.int32))
+    return start, expand
+
+
+def _group(words: list[np.ndarray], cards: np.ndarray, ents: np.ndarray):
+    """Sort rows by key and sum the aggregates of equal keys."""
+    order = np.lexsort(words[::-1])
+    words = [w[order] for w in words]
+    changed = np.any([w[1:] != w[:-1] for w in words], axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    return (
+        [w[starts] for w in words],
+        np.add.reduceat(cards[order], starts),
+        np.add.reduceat(ents[order], starts),
+    )
+
+
+def _concat(parts):
+    """Join (key words, cardinalities, entropy sums) aggregates end to end."""
+    return (
+        [np.concatenate(column) for column in zip(*(p[0] for p in parts))],
+        np.concatenate([p[1] for p in parts]),
+        np.concatenate([p[2] for p in parts]),
+    )
 
 
 def enumerate_candidates(
@@ -503,11 +352,16 @@ def enumerate_candidates(
 ) -> CandidateIndex:
     """Build the index of all size-``size`` candidates with matching traces.
 
-    Generation is per variant with global deduplication, so only candidates
-    with non-empty projections are ever produced, and each variant
-    contributes its full trace count to a candidate exactly once.  Exceeding
-    ``cap`` distinct candidates aborts with :class:`CandidateLimitError`
-    rather than returning a partial index.
+    The frontier starts with one empty candidate per variant and grows one
+    activity per level under the successor rule of ``bk_type`` (see the
+    module docstring), so only candidates with non-empty projections are
+    produced, and each variant reaches each of its candidates exactly once
+    and adds its full trace count to it.  After the first level the frontier
+    is split by first activity, and each part is expanded depth first in
+    chunks of a bounded number of states and reduced on its own; only size
+    ``size`` is reduced to per-candidate cardinalities and entropy sums.
+    Exceeding ``cap`` distinct candidates aborts with
+    :class:`CandidateLimitError` rather than returning a partial index.
     """
     if size < 1:
         raise ValueError("candidate size must be >= 1")
@@ -516,48 +370,67 @@ def enumerate_candidates(
 
     n_labels = len(log.labels)
     bits = max(1, (n_labels - 1).bit_length())
-    if bits * size > 63:
-        return _enumerate_tuple_path(log, bk_type, size, cap)
+    per_word = 63 // bits
+    n_words = -(-size // per_word)
+    if bk_type is BkType.SEQUENCE:
+        start, expand = _subsequence_frontier(log)
+    else:
+        start, expand = _bag_frontier(log, distinct=bk_type is BkType.SET)
+    counts = np.asarray(log.counts, dtype=np.float64)
+    clog = counts * np.log2(counts)
+    chunk = max(1, _FRONTIER_CAP // n_labels)
 
-    emit = _EMITTERS[bk_type]
-    collector = _IncidenceCollector(log, bk_type, size, cap)
-    keys_buf = collector.keys_buf
-    vars_buf = collector.vars_buf
-    for vi, variant in enumerate(log.variants):
-        before = len(keys_buf)
-        try:
-            emit(variant, size, bits, keys_buf, cap)
-        except _LimitExceeded:
-            raise CandidateLimitError(
-                bk_type, size, count=len(keys_buf) - before, cap=cap
-            ) from None
-        vars_buf.extend([vi] * (len(keys_buf) - before))
-        if len(keys_buf) >= _COMPACT_CHUNK:
-            collector.compact()
-    return collector.finish(log, bits)
+    def descend(level: int, state: _State, words: list[np.ndarray]):
+        """The size-``size`` frontier grown from ``state``, chunk by chunk."""
+        stack = [(level, state, words)]
+        while stack:
+            level, state, words = stack.pop()
+            if level == size:
+                yield state, words
+                continue
+            if len(state[0]) > chunk:
+                stack.append((level, tuple(s[chunk:] for s in state), [w[chunk:] for w in words]))
+                state, words = tuple(s[:chunk] for s in state), [w[:chunk] for w in words]
+            parent, act, state = expand(state, size - level - 1)
+            if len(parent):
+                words = [w[parent] for w in words]
+                w = level // per_word
+                words[w] <<= bits
+                words[w] |= act
+                stack.append((level + 1, state, words))
 
+    def check_cap(count: int) -> None:
+        if count > cap:
+            raise CandidateLimitError(bk_type, size, count=count, cap=cap)
 
-def _enumerate_tuple_path(log: EventLog, bk_type: BkType, size: int, cap: int) -> CandidateIndex:
-    acc: dict[tuple[int, ...], list[int]] = {}
-    for vi, variant in enumerate(log.variants):
-        for pattern in _tuple_patterns(variant, bk_type, size):
-            hit = acc.get(pattern)
-            if hit is None:
-                acc[pattern] = [vi]
-            else:
-                hit.append(vi)
-        if len(acc) > cap:
-            raise CandidateLimitError(bk_type, size, count=len(acc), cap=cap)
-    keys = sorted(acc)
-    var_idx = np.fromiter(
-        (vi for k in keys for vi in acc[k]),
-        dtype=np.int64,
-        count=sum(len(acc[k]) for k in keys),
-    )
-    offsets = np.concatenate([[0], np.cumsum([len(acc[k]) for k in keys], dtype=np.int64)])
-    return CandidateIndex(log, bk_type, size, keys, None, var_idx=var_idx, offsets=offsets)
+    # The first level for all variants at once; it is no larger than the
+    # tables behind ``expand``.  Candidates with different first activities
+    # have disjoint key ranges, so each first activity is grown and reduced
+    # on its own, in ascending order.
+    _, first_act, first_state = expand(start, size - 1)
+    order = np.argsort(first_act, kind="stable")
+    bounds = np.searchsorted(first_act[order], np.arange(n_labels + 1))
+    empty = ([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0), np.zeros(0))
+    results = [empty]
+    found = 0
+    for a in range(n_labels):
+        rows = order[bounds[a] : bounds[a + 1]]
+        if not len(rows):
+            continue
+        words = [np.full(len(rows), a, dtype=np.int64)]
+        words += [np.zeros(len(rows), dtype=np.int64)] * (n_words - 1)
+        chunks = descend(1, tuple(s[rows] for s in first_state), words)
+        # Chunks are grouped as they come and merged once the pending
+        # rows outgrow the merged ones, so each row is merged O(log n) times.
+        merged, parts = empty, []
+        for state, words in chunks:
+            parts.append(_group(words, counts[state[0]], clog[state[0]]))
+            if sum(len(p[1]) for p in parts) > max(len(merged[1]), _FRONTIER_CAP):
+                merged, parts = _group(*_concat([merged, *parts])), []
+                check_cap(found + len(merged[1]))
+        results.append(_group(*_concat([merged, *parts])))
+        found += len(results[-1][1])
+        check_cap(found)
 
-
-def dump_candidates_csv(index: CandidateIndex, out: TextIO) -> None:
-    """Convenience wrapper used by the CLI's debug dump."""
-    index.write_csv(out)
+    words, cards, ents = _concat(results)
+    return CandidateIndex(log, bk_type, size, words, bits, cards.astype(np.int64), ents)

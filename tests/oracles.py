@@ -66,6 +66,29 @@ def naive_candidate_index(log: EventLog, kind: str, size: int):
     return index
 
 
+def itertools_candidate_index(log: EventLog, kind: str, size: int):
+    """The same mapping as ``naive_candidate_index``, built per variant.
+
+    Each variant contributes the patterns ``itertools`` finds in it: its
+    distinct size-l subsequences (seq), their sorted forms (mult), or the
+    size-l subsets of its distinct activities (set).  Nothing ranges over the
+    alphabet, so this stays usable for long traces and wide alphabets.
+    """
+    index = {}
+    for v, c in zip(log.variants, log.counts):
+        if kind == "set":
+            patterns = set(itertools.combinations(sorted(set(v)), size))
+        elif kind == "mult":
+            patterns = {tuple(sorted(p)) for p in itertools.combinations(v, size)}
+        elif kind == "seq":
+            patterns = set(itertools.combinations(v, size))
+        else:
+            raise ValueError(kind)
+        for pattern in patterns:
+            index.setdefault(pattern, {})[v] = c
+    return index
+
+
 # -- Eq-style disclosure transcriptions ---------------------------------------
 
 
@@ -142,11 +165,13 @@ def random_log(
     max_alphabet: int = 5,
     max_len: int = 6,
     max_count: int = 9,
+    min_len: int = 1,
+    min_alphabet: int = 1,
 ) -> EventLog:
-    labels = [chr(ord("a") + i) for i in range(rng.randint(1, max_alphabet))]
+    labels = [chr(ord("a") + i) for i in range(rng.randint(min_alphabet, max_alphabet))]
     traces = {}
     for _ in range(rng.randint(1, max_variants)):
-        length = rng.randint(1, max_len)
+        length = rng.randint(min_len, max_len)
         trace = tuple(rng.choice(labels) for _ in range(length))
         traces[trace] = rng.randint(1, max_count)
     return EventLog.from_counts(traces)

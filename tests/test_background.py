@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,8 @@ from logprivacy import (
     matches,
     project,
 )
-from oracles import naive_candidate_index, random_log
+from logprivacy import background as bg
+from oracles import itertools_candidate_index, naive_candidate_index, random_log
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
 
@@ -169,35 +172,97 @@ class TestEnumerate:
         proj = index.projection(first)
         assert proj.cardinality >= 1
 
-    def test_tuple_fallback_agrees_with_packed_path(self):
-        from logprivacy.background import _enumerate_tuple_path
-
+    def test_multiword_keys_on_a_wide_alphabet_match_oracle(self):
+        # 70 activities need 7 bits each, so sizes 10-12 need two key words.
         rng = random.Random(404)
-        for _ in range(20):
-            log = random_log(rng)
-            for kind in KINDS.values():
-                for size in (1, 2, 3):
-                    packed = enumerate_candidates(log, kind, size)
-                    fallback = _enumerate_tuple_path(log, kind, size, cap=10**6)
-                    assert packed.to_dict() == fallback.to_dict()
+        labels = [f"x{i:02d}" for i in range(70)]
+        traces = {}
+        for lo in range(0, 70, 14):
+            group = labels[lo : lo + 14] + rng.sample(labels[lo : lo + 14], 1)
+            for _ in range(2):
+                rng.shuffle(group)
+                traces[tuple(group)] = rng.randint(1, 9)
+        log = EventLog.from_counts(traces)
+        for kind in KINDS:
+            for size in (10, 11, 12):
+                index = enumerate_candidates(log, KINDS[kind], size)
+                oracle = itertools_candidate_index(log, kind, size)
+                assert_matches_oracle(index, oracle)
+                for cand in list(index.candidates())[::97]:
+                    assert index.projection(cand).matches == oracle[cand.elements]
+        index = enumerate_candidates(log, BkType.SEQUENCE, 12)
+        assert index.to_dict() == {
+            Candidate(BkType.SEQUENCE, k): v
+            for k, v in itertools_candidate_index(log, "seq", 12).items()
+        }
+        buf = io.StringIO()
+        index.write_csv(buf)
+        lines = buf.getvalue().splitlines()[1:]
+        assert len(lines) == index.candidate_count
+        assert lines == sorted(lines)
 
-    def test_aggregate_mode_matches_full_mode(self, monkeypatch):
-        # Force the incidence retention limit down so the aggregate path runs
-        # on a small log, then compare against the default full-mode result.
-        import logprivacy.background as bg
-
+    def test_lazy_projections_agree_with_oracle_and_aggregates(self):
         rng = random.Random(505)
-        log = random_log(rng, max_variants=8, max_alphabet=4, max_len=8)
-        full = enumerate_candidates(log, BkType.SEQUENCE, 3)
-        monkeypatch.setattr(bg, "_COMPACT_CHUNK", 4)
-        monkeypatch.setattr(bg, "_FULL_INCIDENCE_LIMIT", 8)
-        aggregated = enumerate_candidates(log, BkType.SEQUENCE, 3)
-        assert not aggregated.has_variant_lists
-        assert list(full.candidates()) == list(aggregated.candidates())
-        assert full.cardinalities().tolist() == aggregated.cardinalities().tolist()
-        assert full.entropy_sums().tolist() == pytest.approx(aggregated.entropy_sums().tolist())
-        # lazy projections still come out right
-        assert full.to_dict() == aggregated.to_dict()
+        for _ in range(10):
+            log = random_log(rng, max_variants=8, max_alphabet=4, max_len=8)
+            for kind in KINDS:
+                for size in (1, 2, 3):
+                    index = enumerate_candidates(log, KINDS[kind], size)
+                    items = list(index.items())
+                    got = {cand.elements: dict(proj.matches) for cand, proj in items}
+                    assert got == naive_candidate_index(log, kind, size)
+                    assert all(index.projection(cand) == proj for cand, proj in items)
+                    assert index.cardinalities().tolist() == [p.cardinality for _, p in items]
+                    np.testing.assert_allclose(
+                        index.entropy_sums(),
+                        [entropy_sum(p.matches) for _, p in items],
+                        rtol=0,
+                        atol=1e-9,
+                    )
+
+
+def entropy_sum(matches) -> float:
+    return sum(c * math.log2(c) for c in matches.values())
+
+
+def assert_matches_oracle(index, oracle) -> None:
+    """Keys, cardinalities and entropy sums of ``index`` against an oracle."""
+    keys = sorted(oracle)
+    assert [cand.elements for cand in index.candidates()] == keys
+    assert index.cardinalities().tolist() == [sum(oracle[k].values()) for k in keys]
+    np.testing.assert_allclose(
+        index.entropy_sums(), [entropy_sum(oracle[k]) for k in keys], rtol=0, atol=1e-9
+    )
+
+
+class TestLongTraces:
+    """Sizes 4-6 on traces of 15-25 events that repeat activities."""
+
+    @pytest.mark.parametrize("size", [4, 5, 6])
+    def test_random_logs_match_itertools_oracle(self, size):
+        rng = random.Random(2000 + size)
+        for _ in range(3):
+            log = random_log(
+                rng, max_variants=5, min_alphabet=3, max_alphabet=6, min_len=15, max_len=25
+            )
+            for kind in KINDS:
+                index = enumerate_candidates(log, KINDS[kind], size)
+                assert_matches_oracle(index, itertools_candidate_index(log, kind, size))
+
+    def test_chunks_that_split_one_variants_frontier(self, monkeypatch):
+        # Expand one state per step, so every variant's frontier spans many
+        # chunks and the reduction merges many of them.
+        monkeypatch.setattr(bg, "_FRONTIER_CAP", 3)
+        rng = random.Random(606)
+        log = random_log(rng, max_variants=3, min_alphabet=4, max_alphabet=4, min_len=15, max_len=18)
+        for kind in KINDS:
+            for size in (2, 3):
+                oracle = itertools_candidate_index(log, kind, size)
+                index = enumerate_candidates(log, KINDS[kind], size, cap=len(oracle))
+                assert_matches_oracle(index, oracle)
+                with pytest.raises(CandidateLimitError) as exc:
+                    enumerate_candidates(log, KINDS[kind], size, cap=len(oracle) - 1)
+                assert exc.value.count > len(oracle) - 1
 
 
 def _index_as_plain_dict(index):
