@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .distance import distance_matrix
 from .event_log import EventLog
 
@@ -58,13 +60,14 @@ def k_anonymize(log: EventLog, config: AnonymizationConfig) -> EventLog:
         dists = distance_matrix(
             [log.variants[i] for i in small], [log.variants[i] for i in keep]
         )
-        for row, i in enumerate(small):
-            # Ties: closest distance, then larger anchor count, then canonical order.
-            best = min(
-                range(len(keep)),
-                key=lambda a: (dists[row, a], -log.counts[keep[a]], a),
-            )
-            new_counts[keep[best]] += log.counts[i]
+        # Ties: closest distance, then larger anchor count, then canonical
+        # order, which is argmax's first-index rule over the closest anchors
+        # (anchor counts are at least k, so 0 rules out the others).
+        anchor_counts = np.array([log.counts[i] for i in keep])
+        closest = dists == dists.min(axis=1, keepdims=True)
+        best = np.where(closest, anchor_counts, 0).argmax(axis=1)
+        for i, a in zip(small, best.tolist()):
+            new_counts[keep[a]] += log.counts[i]
     counted = {
         log.variant_labels(log.variants[i]): c for i, c in new_counts.items()
     }

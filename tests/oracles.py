@@ -89,6 +89,35 @@ def itertools_candidate_index(log: EventLog, kind: str, size: int):
     return index
 
 
+# -- edit distance, textbook form ----------------------------------------------
+
+
+def table_edit_distance(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """Levenshtein distance read from the full (len(a)+1) x (len(b)+1) table.
+
+    ``d[i][j]`` is the distance between the first i events of ``a`` and the
+    first j events of ``b``; insertions, deletions and substitutions cost 1.
+    """
+    d = [[0] * (len(b) + 1) for _ in range(len(a) + 1)]
+    for i in range(len(a) + 1):
+        d[i][0] = i
+    for j in range(len(b) + 1):
+        d[0][j] = j
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(b) + 1):
+            substitution = d[i - 1][j - 1] + (0 if a[i - 1] == b[j - 1] else 1)
+            d[i][j] = min(d[i - 1][j] + 1, d[i][j - 1] + 1, substitution)
+    return d[len(a)][len(b)]
+
+
+def table_distance_matrix(rows, cols) -> np.ndarray:
+    """Normalized distances from ``table_edit_distance``, one pair at a time."""
+    return np.array(
+        [[table_edit_distance(a, b) / max(len(a), len(b)) for b in cols] for a in rows],
+        dtype=np.float64,
+    ).reshape(len(rows), len(cols))
+
+
 # -- Eq-style disclosure transcriptions ---------------------------------------
 
 

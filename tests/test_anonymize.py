@@ -78,6 +78,25 @@ class TestMergeNearest:
         result = k_anonymize(log, AnonymizationConfig(k=2, strategy=Strategy.MERGE_NEAREST))
         assert result == EventLog.from_counts({("a",): 3, ("b",): 6})
 
+    @pytest.mark.parametrize(
+        "counts,winner",
+        [
+            # closest first: ("x","y") is 1/2 from ("x","b"), 1 from the rest
+            ({("c",): 9, ("d",): 9, ("x", "b"): 2}, ("x", "b")),
+            # a three-way distance tie goes to the larger count ...
+            ({("a",): 3, ("b",): 5, ("c",): 4}, ("b",)),
+            # ... and a tie in count too to the first in canonical order
+            ({("a",): 4, ("b",): 6, ("c",): 6}, ("b",)),
+            ({("c",): 4, ("b",): 4, ("a",): 4}, ("a",)),
+        ],
+    )
+    def test_three_way_ties(self, counts, winner):
+        log = EventLog.from_counts({**counts, ("x", "y"): 1})
+        result = k_anonymize(log, AnonymizationConfig(k=2, strategy=Strategy.MERGE_NEAREST))
+        expected = dict(counts)
+        expected[winner] += 1
+        assert result == EventLog.from_counts(expected)
+
     def test_no_anchor_is_an_error(self):
         log = EventLog.from_counts({("a",): 1, ("b",): 1})
         with pytest.raises(ValueError, match="k too large"):

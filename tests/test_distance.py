@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logprivacy import distance_matrix, levenshtein, normalized_distance
+from logprivacy import distance, distance_matrix, levenshtein, normalized_distance
+from oracles import table_distance_matrix
 
 # Variants encoded over the Example 3 alphabet a..e -> 0..4.
 ABCD = (0, 1, 2, 3)
@@ -89,3 +92,83 @@ def test_matrix_handles_mixed_lengths_across_buckets():
     got = distance_matrix(rows, cols)
     expected = np.array([[normalized_distance(a, b) for b in cols] for a in rows])
     assert np.array_equal(got, expected)
+
+
+# Lengths on both sides of the kernel's 64-event word boundaries.
+BOUNDARY_LENGTHS = [1, 63, 64, 65, 127, 128, 129, 200]
+
+
+def _random_trace(rng: random.Random, length: int, n_symbols: int) -> tuple[int, ...]:
+    return tuple(rng.randrange(n_symbols) for _ in range(length))
+
+
+def _edited(rng: random.Random, trace: tuple[int, ...], n_edits: int, n_symbols: int):
+    """``trace`` after a few random substitutions, insertions and deletions."""
+    events = list(trace)
+    for _ in range(n_edits):
+        pos = rng.randrange(len(events))
+        op = rng.choice("sid")
+        if op == "s":
+            events[pos] = rng.randrange(n_symbols)
+        elif op == "i":
+            events.insert(pos, rng.randrange(n_symbols))
+        elif len(events) > 1:
+            del events[pos]
+    return tuple(events)
+
+
+def _boundary_traces(seed: int, n_symbols: int):
+    """Random traces at every boundary length, and near copies of them."""
+    rng = random.Random(seed)
+    rows = [_random_trace(rng, n, n_symbols) for n in BOUNDARY_LENGTHS]
+    cols = [_random_trace(rng, n, n_symbols) for n in BOUNDARY_LENGTHS]
+    cols += [_edited(rng, r, rng.randint(1, 6), n_symbols) for r in rows]
+    return rows, cols
+
+
+class TestKernelAgainstTableOracle:
+    # 70 symbols: more distinct symbols than events in one word.
+    @pytest.mark.parametrize("n_symbols", [2, 4, 16, 70])
+    def test_word_boundary_lengths(self, n_symbols):
+        rows, cols = _boundary_traces(64 + n_symbols, n_symbols)
+        assert np.array_equal(distance_matrix(rows, cols), table_distance_matrix(rows, cols))
+
+    def test_one_symbol_alphabet(self):
+        # Every event matches every other, so only the length gap counts.
+        traces = [(7,) * n for n in BOUNDARY_LENGTHS]
+        got = distance_matrix(traces, traces)
+        assert np.array_equal(got, table_distance_matrix(traces, traces))
+        lens = np.array(BOUNDARY_LENGTHS, dtype=np.float64)
+        expected = np.abs(lens[:, None] - lens[None, :]) / np.maximum(lens[:, None], lens[None, :])
+        assert np.array_equal(got, expected)
+
+    def test_negative_and_very_large_ids(self):
+        rows, cols = _boundary_traces(99, 5)
+        ids = [-(2**62), -1, 0, 2**62, 10**30]
+
+        def relabel(traces):
+            return [tuple(ids[e] for e in t) for t in traces]
+
+        got = distance_matrix(relabel(rows), relabel(cols))
+        assert np.array_equal(got, distance_matrix(rows, cols))
+        assert np.array_equal(got, table_distance_matrix(rows, cols))
+
+    def test_empty_row_or_column_lists(self):
+        traces = [(0, 1), (2,)]
+        assert distance_matrix([], traces).shape == (0, 2)
+        assert distance_matrix(traces, []).shape == (2, 0)
+        assert distance_matrix([], []).shape == (0, 0)
+
+    def test_transpose_swaps_rows_and_columns(self):
+        rows, cols = _boundary_traces(7, 3)
+        assert np.array_equal(distance_matrix(cols, rows), distance_matrix(rows, cols).T)
+
+    def test_one_pair_per_slab(self, monkeypatch):
+        # Mixed lengths put columns of one to four words in separate groups
+        # and rows that end at different steps in the same slab; with the
+        # smallest slab every pair runs alone.
+        rows, cols = _boundary_traces(11, 6)
+        expected = distance_matrix(rows, cols)
+        assert np.array_equal(expected, table_distance_matrix(rows, cols))
+        monkeypatch.setattr(distance, "_SLAB_WORDS", 1)
+        assert np.array_equal(distance_matrix(rows, cols), expected)

@@ -18,7 +18,13 @@ from logprivacy import (
 )
 from logprivacy import utility
 from logprivacy.utility import TransportPlan, TransportProblem, utility_report
-from oracles import greedy_feasible_objective, lp_min_cost, markov_log_pair, random_log
+from oracles import (
+    greedy_feasible_objective,
+    lp_min_cost,
+    markov_log_pair,
+    random_log,
+    table_edit_distance,
+)
 
 
 def float_problem(supply, demand, cost) -> TransportProblem:
@@ -182,6 +188,19 @@ class TestSolverStress:
         plan = solve(problem)
         oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
         assert plan.objective == pytest.approx(oracle, abs=1e-9)
+        # HiGHS is fed the same cost matrix, so check its entries separately:
+        # every entry in the rows of the three longest source traces that
+        # exceed 64 events, and a seeded sample of the rest.
+        rows, cols = problem.source_variants, problem.sink_variants
+        longest = sorted(range(len(rows)), key=lambda i: -len(rows[i]))[:3]
+        longest = [i for i in longest if len(rows[i]) > 64]
+        assert longest
+        rng = random.Random(seed * 1000 + n_traces)
+        entries = [(i, j) for i in longest for j in range(len(cols))]
+        entries += [(rng.randrange(len(rows)), rng.randrange(len(cols))) for _ in range(300)]
+        for i, j in entries:
+            a, b = rows[i], cols[j]
+            assert problem.cost[i, j] == table_edit_distance(a, b) / max(len(a), len(b))
 
     def test_solve_is_deterministic(self):
         supply = [0.25] * 4
