@@ -12,7 +12,6 @@ most severe failure category.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -46,6 +45,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code for a package error or a ``ValueError``."""
+    if isinstance(exc, CandidateLimitError):
+        return EXIT_RESOURCE
+    if isinstance(exc, SolverError):
+        return EXIT_SOLVER
+    return EXIT_INPUT
 
 
 # -- flag parsing helpers ----------------------------------------------------
@@ -296,17 +304,6 @@ def _cmd_utility(args) -> int:
     anonymized, ingest_b, digest_b = _load_log(args.anonymized, args, timing)
     t0 = time.perf_counter()
     problem = build_problem(original, anonymized)
-    if args.debug_scale_source != 1.0:
-        # Test hook: corrupt the source marginal to exercise the solver's
-        # balance validation end to end.
-        problem = dataclasses.replace(
-            problem,
-            source_masses=tuple(m * args.debug_scale_source for m in problem.source_masses),
-            source_counts=None,
-            source_total=None,
-            sink_counts=None,
-            sink_total=None,
-        )
     utility = utility_report(solve(problem))
     timing["utility"] = time.perf_counter() - t0
     results = {
@@ -343,19 +340,9 @@ def _cmd_sweep(args) -> int:
             anonymized = k_anonymize(log, AnonymizationConfig(k=k, strategy=args.strategy))
             profile = risk_profile(anonymized, args.types, args.sizes, args.aggregation, cap=cap)
             utility = data_utility(log, anonymized)
-        except ValueError as exc:
+        except (ValueError, CandidateLimitError, SolverError) as exc:
             record["error"] = str(exc)
-            worst_exit = max(worst_exit, EXIT_INPUT)
-            records.append(record)
-            continue
-        except CandidateLimitError as exc:
-            record["error"] = str(exc)
-            worst_exit = max(worst_exit, EXIT_RESOURCE)
-            records.append(record)
-            continue
-        except SolverError as exc:
-            record["error"] = str(exc)
-            worst_exit = max(worst_exit, EXIT_SOLVER)
+            worst_exit = max(worst_exit, _exit_code(exc))
             records.append(record)
             continue
         cells, skipped, failures = _cells_payload(profile)
@@ -447,8 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_util)
     p_util.add_argument("--plan-out", default=None, metavar="FILE",
                         help="write the optimal reallocation as CSV")
-    p_util.add_argument("--debug-scale-source", type=float, default=1.0,
-                        help=argparse.SUPPRESS)
     p_util.set_defaults(func=_cmd_utility)
 
     p_sweep = commands.add_parser("sweep", help="k-anonymization sweep: risk and utility per k")
@@ -470,21 +455,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigError) as exc:
+    except (LogPrivacyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CandidateLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LogPrivacyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

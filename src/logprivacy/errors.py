@@ -10,7 +10,7 @@ class ConfigError(LogPrivacyError):
 
 
 class InputError(LogPrivacyError):
-    """Unusable input data: empty files, malformed XML, unbalanced problems."""
+    """Unusable input data: empty files, malformed XML, non-positive trace counts."""
 
 
 class CandidateLimitError(LogPrivacyError):

@@ -81,10 +81,12 @@ class LogStats:
 class EventLog:
     """An immutable multiset of non-empty variants with interned activities.
 
-    Variants are stored in canonical (lexicographic id tuple) order, which by
-    construction equals lexicographic label-sequence order because ids are
-    assigned to sorted labels.  The alphabet contains exactly the activities
-    occurring in at least one variant.
+    Variants are stored in canonical (lexicographic id tuple) order.  That
+    equals lexicographic label-sequence order only when ids are assigned to
+    sorted labels, as ``from_counts`` and ``build_log`` do.  The alphabet
+    contains exactly the activities occurring in at least one variant.  Two
+    logs are equal when they have the same labelled variants with the same
+    counts, whatever their id assignments.
     """
 
     __slots__ = ("_variants", "_counts", "_labels", "_total", "_positions")
@@ -167,15 +169,16 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._variants)
 
+    def _labelled_counts(self) -> dict[tuple[str, ...], int]:
+        return {self.variant_labels(v): c for v, c in zip(self._variants, self._counts)}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        mine = {self.variant_labels(v): c for v, c in zip(self._variants, self._counts)}
-        theirs = {other.variant_labels(v): c for v, c in zip(other._variants, other._counts)}
-        return mine == theirs
+        return self._labelled_counts() == other._labelled_counts()
 
     def __hash__(self) -> int:
-        return hash((self._labels, self._variants, self._counts))
+        return hash(frozenset(self._labelled_counts().items()))
 
     def __repr__(self) -> str:
         return f"EventLog({len(self._variants)} variants, {self._total} traces)"

@@ -8,12 +8,12 @@ the utility loss ``ul``; data utility is ``du = 1 - ul``.
 The solve is a primal network simplex on the bipartite graph plus an
 artificial root.  It starts from a strongly feasible star tree, prices arcs in
 row blocks and picks leaving arcs by Cunningham's rule, so the many degenerate
-pivots that tied edit distances cause can neither cycle nor stall.  When the
-problem comes from two logs, marginals are integerized (trace counts
-cross-scaled by the other log's total) so the flow arithmetic is exact;
-floating point enters only through costs and potentials.  A plan is returned
-only with its certificate: a full pricing pass finds no negative reduced cost,
-no mass is left on an artificial arc, and the flows reproduce both marginals.
+pivots that tied edit distances cause can neither cycle nor stall.  The
+marginals are trace counts, cross-scaled by the other log's total so both sides
+carry the same integer mass and the flow arithmetic is exact; floating point
+enters only through costs and potentials.  A plan is returned only with its
+certificate: a full pricing pass finds no negative reduced cost, no flow is
+left on an artificial arc, and the flows reproduce both marginals exactly.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import TextIO
 
 import numpy as np
@@ -40,29 +41,30 @@ LabelTrace = tuple[str, ...]
 
 @dataclass(frozen=True, eq=False)
 class TransportProblem:
-    """A balanced transportation instance between two variant distributions.
+    """A transportation instance between two variant distributions.
 
-    Sources are the original log's variants (canonical order), sinks the
-    anonymized log's.  ``cost`` is oriented sources x sinks, i.e. transposed
-    relative to a tableau whose rows are the anonymized variants.  When the
-    problem was built from logs, exact trace counts are kept alongside the
-    float masses.
+    Sources are the original log's variants (canonical order) with their
+    trace counts, sinks the anonymized log's.  Each side's distribution is its
+    counts over their sum (``source_masses``, ``sink_masses``); the two sides
+    may have different totals.  ``cost`` is oriented sources x sinks, i.e.
+    transposed relative to a tableau whose rows are the anonymized variants.
     """
 
     source_variants: tuple[LabelTrace, ...]
-    source_masses: tuple[float, ...]
+    source_counts: tuple[int, ...]
     sink_variants: tuple[LabelTrace, ...]
-    sink_masses: tuple[float, ...]
+    sink_counts: tuple[int, ...]
     cost: np.ndarray
-    source_counts: tuple[int, ...] | None = None
-    source_total: int | None = None
-    sink_counts: tuple[int, ...] | None = None
-    sink_total: int | None = None
 
     def __post_init__(self):
         m, n = len(self.source_variants), len(self.sink_variants)
-        if len(self.source_masses) != m or len(self.sink_masses) != n:
-            raise ValueError("mass vectors must match the variant lists")
+        if len(self.source_counts) != m or len(self.sink_counts) != n:
+            raise ValueError("count vectors must match the variant lists")
+        for side, counts in (("source", self.source_counts), ("sink", self.sink_counts)):
+            if not all(isinstance(c, Integral) and c > 0 for c in counts):
+                raise InputError(f"{side} counts must all be positive integers")
+            # Python ints, so the cross-scaled amounts in ``solve`` cannot overflow.
+            object.__setattr__(self, f"{side}_counts", tuple(int(c) for c in counts))
         if self.cost.shape != (m, n):
             raise ValueError(f"cost matrix shape {self.cost.shape} != ({m}, {n})")
         if m == 0 or n == 0:
@@ -71,12 +73,14 @@ class TransportProblem:
             raise ValueError("cost entries must lie in [0, 1]")
 
     @property
-    def sources(self) -> tuple[tuple[LabelTrace, float], ...]:
-        return tuple(zip(self.source_variants, self.source_masses))
+    def source_masses(self) -> tuple[float, ...]:
+        total = sum(self.source_counts)
+        return tuple(c / total for c in self.source_counts)
 
     @property
-    def sinks(self) -> tuple[tuple[LabelTrace, float], ...]:
-        return tuple(zip(self.sink_variants, self.sink_masses))
+    def sink_masses(self) -> tuple[float, ...]:
+        total = sum(self.sink_counts)
+        return tuple(c / total for c in self.sink_counts)
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class UtilityReport:
 
 
 def build_problem(original: EventLog, anonymized: EventLog) -> TransportProblem:
-    """Assemble the balanced problem between two logs' variant distributions.
+    """Assemble the transport problem between two logs' variant distributions.
 
     Variants from both logs are re-encoded into a joint activity alphabet so
     distances are well-defined across logs with different label sets.
@@ -111,34 +115,21 @@ def build_problem(original: EventLog, anonymized: EventLog) -> TransportProblem:
     cost = distance_matrix(rows, cols)
     return TransportProblem(
         source_variants=tuple(original.variant_labels(v) for v in original.variants),
-        source_masses=tuple(c / original.total_traces for c in original.counts),
+        source_counts=original.counts,
         sink_variants=tuple(anonymized.variant_labels(v) for v in anonymized.variants),
-        sink_masses=tuple(c / anonymized.total_traces for c in anonymized.counts),
+        sink_counts=anonymized.counts,
         cost=cost,
-        source_counts=tuple(original.counts),
-        source_total=original.total_traces,
-        sink_counts=tuple(anonymized.counts),
-        sink_total=anonymized.total_traces,
     )
 
 
-def _validate_masses(problem: TransportProblem) -> None:
-    for name, masses in (("source", problem.source_masses), ("sink", problem.sink_masses)):
-        if any(mass <= 0 for mass in masses):
-            raise InputError(f"{name} masses must all be positive")
-        total = sum(masses)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise InputError(
-                f"{name} masses sum to {total!r}, expected 1 within {_MASS_TOL}; "
-                "the problem is unbalanced"
-            )
-
-
 def solve(problem: TransportProblem) -> TransportPlan:
-    """Solve the balanced problem exactly; never returns an uncertified plan.
+    """Solve the problem exactly; never returns an uncertified plan.
 
-    Each source starts with an arc to the root and the root with an arc to
-    each sink, carrying the full masses at a cost no optimum pays, so every
+    Source ``i`` supplies ``source_counts[i]`` times the sink total and sink
+    ``j`` demands ``sink_counts[j]`` times the source total, so both sides sum
+    to the product of the totals; a unit of flow is that product's inverse in
+    mass.  Each source starts with an arc to the root and the root with an arc
+    to each sink, carrying the full amounts at a cost no optimum pays, so every
     tree arc pointing away from the root carries positive flow (the tree is
     strongly feasible).  The entering arc is the most negative reduced cost in
     the next row block of about sqrt(m*n) arcs; the leaving arc is the last
@@ -147,20 +138,12 @@ def solve(problem: TransportProblem) -> TransportPlan:
     leaving arc gets new potentials and depths.  The solve stops when a full
     pass over the blocks finds no reduced cost below ``-_REDUCED_COST_TOL``.
     """
-    _validate_masses(problem)
     cost = np.asarray(problem.cost, dtype=np.float64)
     m, n = cost.shape
-
-    if problem.source_counts is not None and problem.sink_counts is not None:
-        supply = [c * problem.sink_total for c in problem.source_counts]
-        demand = [c * problem.source_total for c in problem.sink_counts]
-        unit = 1.0 / (problem.source_total * problem.sink_total)
-        artificial_tol = 0
-    else:
-        supply = list(problem.source_masses)
-        demand = list(problem.sink_masses)
-        unit = 1.0
-        artificial_tol = _MASS_TOL
+    n_source, n_sink = sum(problem.source_counts), sum(problem.sink_counts)
+    supply = [c * n_sink for c in problem.source_counts]
+    demand = [c * n_source for c in problem.sink_counts]
+    unit = 1.0 / (n_source * n_sink)
 
     # Nodes: sources 0..m-1, sinks m..m+n-1, the root m+n.  Every arc runs
     # from a source or the root to a sink or the root, so a node's tree arc
@@ -254,26 +237,23 @@ def solve(problem: TransportProblem) -> TransportPlan:
                 stack.append(c)
         pi[moved] += -rc if u_in == first else rc
 
-    if sum(flow[v] for v in children[root]) > artificial_tol:
+    if any(flow[v] for v in children[root]):
         raise SolverError("optimal plan leaves mass on an artificial arc")
-    mass_flows = dict(
-        sorted(
-            ((v, u - m) if v < m else (u, v - m), flow[v] * unit)
-            for v, u in enumerate(parent[:root])
-            if u != root and flow[v] > 0
-        )
+    flows = sorted(
+        ((v, u - m) if v < m else (u, v - m), flow[v])
+        for v, u in enumerate(parent[:root])
+        if u != root and flow[v] > 0
     )
-    objective = float(sum(f * cost[i, j] for (i, j), f in mass_flows.items()))
-
-    row_sums = [0.0] * m
-    col_sums = [0.0] * n
-    for (i, j), f in mass_flows.items():
+    row_sums = [0] * m
+    col_sums = [0] * n
+    for (i, j), f in flows:
         row_sums[i] += f
         col_sums[j] += f
-    if any(abs(row_sums[i] - problem.source_masses[i]) > _MASS_TOL for i in range(m)) or any(
-        abs(col_sums[j] - problem.sink_masses[j]) > _MASS_TOL for j in range(n)
-    ):
+    if row_sums != supply or col_sums != demand:
         raise SolverError("optimal plan violates marginal conservation")
+
+    mass_flows = {ij: f * unit for ij, f in flows}
+    objective = float(sum(f * cost[i, j] for (i, j), f in mass_flows.items()))
     return TransportPlan(flows=mass_flows, objective=objective)
 
 

@@ -207,7 +207,7 @@ def random_log(
 
 
 def random_balanced_problem(rng: random.Random, max_side: int = 10):
-    """Supplies/demands with equal integer totals, scaled to unit mass."""
+    """Integer supply and demand counts with equal totals, plus a cost matrix."""
     m = rng.randint(1, max_side)
     n = rng.randint(1, max_side)
     supply_counts = [rng.randint(1, 20) for _ in range(m)]
@@ -217,9 +217,7 @@ def random_balanced_problem(rng: random.Random, max_side: int = 10):
     cuts = sorted(rng.sample(range(1, total), n - 1)) if n > 1 else []
     demand_counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
     cost = [[round(rng.random(), 6) for _ in range(n)] for _ in range(m)]
-    supply = [c / total for c in supply_counts]
-    demand = [c / total for c in demand_counts]
-    return supply, demand, cost
+    return supply_counts, demand_counts, cost
 
 
 def markov_log_pair(seed: int, n_traces: int, n_activities: int = 16) -> tuple[EventLog, EventLog]:

@@ -200,12 +200,12 @@ def test_c07_enumeration_equals_naive_oracle_on_200_random_logs():
 
 
 def test_c08_solver_equals_lp_oracle_on_200_random_problems():
-    from test_utility import float_problem
+    from test_utility import count_problem
 
     rng = random.Random(88_88)
     for _ in range(200):
-        supply, demand, cost = random_balanced_problem(rng, max_side=10)
-        problem = float_problem(supply, demand, cost)
+        problem = count_problem(*random_balanced_problem(rng, max_side=10))
+        supply, demand, cost = problem.source_masses, problem.sink_masses, problem.cost
         plan = solve(problem)
         assert plan.objective == pytest.approx(lp_min_cost(supply, demand, cost), abs=1e-6)
         m, n = problem.cost.shape

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, main
+from logprivacy import SolverError, cli
+from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_USAGE, main
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -190,14 +191,17 @@ class TestUtility:
         assert lines[0] == "source,sink,mass,cost"
         assert len(lines) >= 4
 
-    def test_injected_unbalance_is_a_solver_input_error(self, capsys, ex3_files):
+    def test_solver_failure_exits_with_solver_code(self, capsys, ex3_files, monkeypatch):
+        def failing_solve(problem):
+            raise SolverError("no optimality certificate after 7 pivots (4x2 problem)")
+
+        monkeypatch.setattr(cli, "solve", failing_solve)
         original, anonymized = ex3_files
-        code = main(
-            ["utility", str(original), str(anonymized), "--debug-scale-source", "1.01"]
-        )
+        code = main(["utility", str(original), str(anonymized)])
         captured = capsys.readouterr()
-        assert code == EXIT_INPUT
-        assert "unbalanced" in captured.err
+        assert code == EXIT_SOLVER
+        assert captured.out == ""
+        assert "error: no optimality certificate after 7 pivots" in captured.err
 
 
 class TestSweep:
@@ -227,6 +231,29 @@ class TestSweep:
         records = {r["k"]: r for r in report["results"]["records"]}
         assert "error" in records[999]
         assert records[1]["du"] == 1.0
+
+    def test_solver_failure_at_one_k_is_recorded_and_others_emit(
+        self, capsys, ex3_files, monkeypatch
+    ):
+        real_data_utility = cli.data_utility
+
+        def data_utility(original, anonymized):
+            if original != anonymized:
+                raise SolverError("optimal plan violates marginal conservation")
+            return real_data_utility(original, anonymized)
+
+        monkeypatch.setattr(cli, "data_utility", data_utility)
+        original, _ = ex3_files
+        # k=2 suppresses the two single-trace variants; k=1 keeps the log
+        code, report = run_json(
+            capsys,
+            ["sweep", str(original), "--k-values", "1,2", "--types", "set", "--sizes", "1"],
+        )
+        assert code == EXIT_SOLVER
+        records = {r["k"]: r for r in report["results"]["records"]}
+        assert records[2] == {"k": 2, "error": "optimal plan violates marginal conservation"}
+        assert records[1]["du"] == 1.0
+        assert records[1]["anonymized"]["n_traces"] == 100
 
     def test_records_ordered_by_k(self, capsys, ex2_l2_csv):
         code, report = run_json(

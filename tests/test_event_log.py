@@ -202,6 +202,16 @@ class TestEventLogInvariants:
         log = EventLog.from_counts({("b",): 1, ("a", "c"): 1, ("a",): 1})
         assert [log.variant_labels(v) for v in log.variants] == [("a",), ("a", "c"), ("b",)]
 
+    def test_equal_logs_with_different_ids_hash_alike(self):
+        # ids not assigned in label order: equality and hashing go by label
+        unsorted = EventLog([(0, 1), (1,)], [3, 1], ["b", "a"])
+        sorted_ids = EventLog.from_counts({("b", "a"): 3, ("a",): 1})
+        assert unsorted.variants != sorted_ids.variants
+        assert unsorted == sorted_ids
+        assert hash(unsorted) == hash(sorted_ids)
+        assert len({unsorted, sorted_ids}) == 1
+        assert unsorted != EventLog.from_counts({("b", "a"): 2, ("a",): 1})
+
 
 class TestFrequency:
     def test_example_variant_frequency(self, example1_log):

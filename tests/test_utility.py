@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import random
 
@@ -27,13 +26,13 @@ from oracles import (
 )
 
 
-def float_problem(supply, demand, cost) -> TransportProblem:
-    m, n = len(supply), len(demand)
+def count_problem(supply_counts, demand_counts, cost) -> TransportProblem:
+    m, n = len(supply_counts), len(demand_counts)
     return TransportProblem(
         source_variants=tuple((f"s{i}",) for i in range(m)),
-        source_masses=tuple(supply),
+        source_counts=tuple(supply_counts),
         sink_variants=tuple((f"t{j}",) for j in range(n)),
-        sink_masses=tuple(demand),
+        sink_counts=tuple(demand_counts),
         cost=np.asarray(cost, dtype=np.float64),
     )
 
@@ -41,8 +40,8 @@ def float_problem(supply, demand, cost) -> TransportProblem:
 class TestBuildProblem:
     def test_example_shapes_and_costs(self, example3_original, example3_anonymized):
         problem = build_problem(example3_original, example3_anonymized)
-        assert len(problem.sources) == 4
-        assert len(problem.sinks) == 2
+        assert len(problem.source_variants) == 4
+        assert len(problem.sink_variants) == 2
         by_variant = {
             (problem.source_variants[i], problem.sink_variants[j]): problem.cost[i, j]
             for i in range(4)
@@ -115,9 +114,9 @@ class TestSolve:
         from oracles import random_balanced_problem
 
         for _ in range(60):
-            supply, demand, cost = random_balanced_problem(rng)
-            plan = solve(float_problem(supply, demand, cost))
-            oracle = lp_min_cost(supply, demand, cost)
+            problem = count_problem(*random_balanced_problem(rng))
+            plan = solve(problem)
+            oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
             assert plan.objective == pytest.approx(oracle, abs=1e-6)
 
     def test_never_beats_feasible_greedy_plan(self):
@@ -125,32 +124,32 @@ class TestSolve:
         from oracles import random_balanced_problem
 
         for _ in range(40):
-            supply, demand, cost = random_balanced_problem(rng, max_side=7)
-            plan = solve(float_problem(supply, demand, cost))
-            bound = greedy_feasible_objective(supply, demand, cost)
+            problem = count_problem(*random_balanced_problem(rng, max_side=7))
+            plan = solve(problem)
+            bound = greedy_feasible_objective(
+                problem.source_masses, problem.sink_masses, problem.cost
+            )
             assert plan.objective <= bound + 1e-9
 
-    def test_unbalanced_problem_is_an_input_error(self):
-        problem = float_problem([0.6, 0.6], [0.5, 0.5], [[0.1, 0.2], [0.3, 0.4]])
-        with pytest.raises(InputError, match="unbalanced|sum"):
-            solve(problem)
-
-    def test_nonpositive_mass_is_an_input_error(self, example3_original, example3_anonymized):
-        problem = build_problem(example3_original, example3_anonymized)
-        bad = dataclasses.replace(
-            problem,
-            source_masses=(0.0,) + problem.source_masses[1:],
-            source_counts=None,
-            source_total=None,
-            sink_counts=None,
-            sink_total=None,
-        )
-        with pytest.raises(InputError, match="positive"):
-            solve(bad)
+    def test_nonpositive_mass_is_an_input_error(self):
+        cost = [[0.1, 0.2], [0.3, 0.4]]
+        for bad in (0, -1, 0.5):
+            with pytest.raises(InputError, match="positive"):
+                count_problem([bad, 2], [1, 1], cost)
+            with pytest.raises(InputError, match="positive"):
+                count_problem([1, 1], [2, bad], cost)
+        with pytest.raises(ValueError, match="count vectors"):
+            TransportProblem(
+                source_variants=(("a",), ("b",)),
+                source_counts=(1, 1, 1),
+                sink_variants=(("a",), ("b",)),
+                sink_counts=(1, 1),
+                cost=np.asarray(cost),
+            )
 
     def test_cost_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="cost"):
-            float_problem([1.0], [1.0], [[1.5]])
+            count_problem([1], [1], [[1.5]])
 
 
 class TestSolverStress:
@@ -162,19 +161,19 @@ class TestSolverStress:
         cuts = sorted(rng.sample(range(1, total), n - 1))
         demand_counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         cost = [[round(rng.random(), 4) for _ in range(n)] for _ in range(m)]
-        supply = [c / total for c in supply_counts]
-        demand = [c / total for c in demand_counts]
-        plan = solve(float_problem(supply, demand, cost))
-        assert plan.objective == pytest.approx(lp_min_cost(supply, demand, cost), abs=1e-9)
+        problem = count_problem(supply_counts, demand_counts, cost)
+        plan = solve(problem)
+        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, cost)
+        assert plan.objective == pytest.approx(oracle, abs=1e-9)
 
     def test_degenerate_equal_masses_terminate_and_match(self):
         # every pivot candidate ties, so most pivots are degenerate
         m = n = 40
-        supply = [1.0 / m] * m
-        demand = [1.0 / n] * n
         cost = [[(abs(i - j) % 5) / 5.0 for j in range(n)] for i in range(m)]
-        plan = solve(float_problem(supply, demand, cost))
-        assert plan.objective == pytest.approx(lp_min_cost(supply, demand, cost), abs=1e-9)
+        problem = count_problem([1] * m, [1] * n, cost)
+        plan = solve(problem)
+        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, cost)
+        assert plan.objective == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.parametrize(
         "seed,n_traces",
@@ -203,11 +202,9 @@ class TestSolverStress:
             assert problem.cost[i, j] == table_edit_distance(a, b) / max(len(a), len(b))
 
     def test_solve_is_deterministic(self):
-        supply = [0.25] * 4
-        demand = [0.5, 0.5]
         cost = [[0.2, 0.8], [0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]
-        first = solve(float_problem(supply, demand, cost))
-        second = solve(float_problem(supply, demand, cost))
+        first = solve(count_problem([1] * 4, [1, 1], cost))
+        second = solve(count_problem([1] * 4, [1, 1], cost))
         assert first.flows == second.flows
         assert first.objective == second.objective
 
