@@ -36,8 +36,9 @@ by sorting the keys and summing runs of equal ones.  Keys are fixed-width
 packed integers, split over several 63-bit words when the alphabet and size
 need more bits.
 
-The index keeps only those aggregates; a candidate's matching variants are
-recomputed by :func:`project` when asked for.
+The index keeps only the keys, those aggregates and the activity labels;
+callers that need a candidate's matching traces get them from
+:func:`project`.
 """
 
 from __future__ import annotations
@@ -125,19 +126,6 @@ def project(log: EventLog, candidate: Candidate) -> Projection:
     return Projection(matches=found, cardinality=sum(found.values()))
 
 
-
-def _pack(elements: Sequence[int], bits: int) -> list[int]:
-    """Key words of a candidate: ``63 // bits`` elements per word, first element highest."""
-    per_word = 63 // bits
-    words = []
-    for lo in range(0, len(elements), per_word):
-        word = 0
-        for e in elements[lo : lo + per_word]:
-            word = (word << bits) | e
-        words.append(word)
-    return words
-
-
 # -- the index ---------------------------------------------------------------
 
 
@@ -148,12 +136,13 @@ class CandidateIndex:
     int64 array per word.  Besides the keys the index holds only what the
     risk measures read: each candidate's multiplicity-weighted projection
     size and its entropy sum ``sum(count * log2 count)`` over matching
-    variants.  Projections are recomputed with :func:`project` on demand.
+    variants, plus the activity labels :meth:`write_csv` prints.  A
+    candidate's matching traces come from :func:`project`.
     """
 
     def __init__(
         self,
-        log: EventLog,
+        labels: Sequence[str],
         bk_type: BkType,
         size: int,
         words: Sequence[np.ndarray],
@@ -161,7 +150,7 @@ class CandidateIndex:
         cards: np.ndarray,
         entsums: np.ndarray,
     ):
-        self._log = log
+        self._labels = tuple(labels)
         self.bk_type = bk_type
         self.size = size
         self._words = tuple(words)
@@ -170,14 +159,7 @@ class CandidateIndex:
         self._entsums = entsums
 
     @property
-    def log(self) -> EventLog:
-        return self._log
-
-    @property
     def candidate_count(self) -> int:
-        return len(self._cards)
-
-    def __len__(self) -> int:
         return len(self._cards)
 
     def _decode(self, pos: int) -> Candidate:
@@ -190,35 +172,9 @@ class CandidateIndex:
             elements.extend((word >> (self._bits * (n - 1 - i))) & mask for i in range(n))
         return Candidate(self.bk_type, tuple(elements))
 
-    def _position(self, candidate: Candidate) -> int | None:
-        if candidate.kind is not self.bk_type or candidate.size != self.size:
-            return None
-        if any(not 0 <= e < (1 << self._bits) for e in candidate.elements):
-            return None
-        lo, hi = 0, len(self)
-        for column, word in zip(self._words, _pack(candidate.elements, self._bits)):
-            part = column[lo:hi]
-            lo, hi = (
-                lo + int(np.searchsorted(part, word, "left")),
-                lo + int(np.searchsorted(part, word, "right")),
-            )
-        return lo if lo < hi else None
-
-    def __contains__(self, candidate: object) -> bool:
-        return isinstance(candidate, Candidate) and self._position(candidate) is not None
-
     def candidates(self) -> Iterator[Candidate]:
-        for pos in range(len(self)):
+        for pos in range(self.candidate_count):
             yield self._decode(pos)
-
-    def projection(self, candidate: Candidate) -> Projection:
-        if self._position(candidate) is None:
-            raise KeyError(f"candidate {candidate!r} is not in this index")
-        return project(self._log, candidate)
-
-    def items(self) -> Iterator[tuple[Candidate, Projection]]:
-        for candidate in self.candidates():
-            yield candidate, project(self._log, candidate)
 
     def cardinalities(self) -> np.ndarray:
         """Multiplicity-weighted projection size per candidate, canonical order."""
@@ -228,17 +184,12 @@ class CandidateIndex:
         """Per candidate: sum over matching variants of count*log2(count)."""
         return self._entsums
 
-    def to_dict(self) -> dict[Candidate, dict[Variant, int]]:
-        """Materialize every projection; intended for tests and small logs."""
-        return {cand: dict(proj.matches) for cand, proj in self.items()}
-
     def write_csv(self, out: TextIO) -> None:
         """Debug dump: one ``candidate,cardinality`` line in canonical order."""
-        labels = self._log.labels
         out.write("candidate,cardinality\n")
         for pos, card in enumerate(self._cards):
             cand = self._decode(pos)
-            name = "|".join(labels[a] for a in cand.elements)
+            name = "|".join(self._labels[a] for a in cand.elements)
             out.write(f"{name},{int(card)}\n")
 
 
@@ -433,4 +384,4 @@ def enumerate_candidates(
         check_cap(found)
 
     words, cards, ents = _concat(results)
-    return CandidateIndex(log, bk_type, size, words, bits, cards.astype(np.int64), ents)
+    return CandidateIndex(log.labels, bk_type, size, words, bits, cards.astype(np.int64), ents)

@@ -15,14 +15,13 @@ import argparse
 import hashlib
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
 from .anonymize import AnonymizationConfig, Strategy, k_anonymize
 from .background import BkType, DEFAULT_CANDIDATE_CAP, enumerate_candidates
-from .errors import CandidateLimitError, ConfigError, InputError, LogPrivacyError, SolverError
+from .errors import CandidateLimitError, InputError, LogPrivacyError, SolverError
 from .event_log import ColumnMapping, EventLog, IngestResult, build_log, ingest_csv, ingest_xes, stats
 from .risk import Aggregation, risk_profile
 from .utility import build_problem, data_utility, solve, utility_report, write_plan_csv
@@ -34,9 +33,6 @@ EXIT_RESOURCE = 3
 EXIT_SOLVER = 4
 
 SCHEMA_VERSION = "1"
-CAP_ENV_VAR = "LOGPRIVACY_CAP"
-
-_TYPE_ORDER = {t: i for i, t in enumerate(BkType)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,7 +63,7 @@ def _parse_types(text: str) -> list[BkType]:
         "seq": BkType.SEQUENCE,
         "sequence": BkType.SEQUENCE,
     }
-    out: list[BkType] = []
+    chosen: set[BkType] = set()
     for piece in text.split(","):
         piece = piece.strip().lower()
         if not piece:
@@ -76,11 +72,10 @@ def _parse_types(text: str) -> list[BkType]:
             raise argparse.ArgumentTypeError(
                 f"unknown background-knowledge type {piece!r} (use set, mult, seq)"
             )
-        if aliases[piece] not in out:
-            out.append(aliases[piece])
-    if not out:
+        chosen.add(aliases[piece])
+    if not chosen:
         raise argparse.ArgumentTypeError("at least one background-knowledge type is required")
-    return out
+    return [t for t in BkType if t in chosen]
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -119,19 +114,6 @@ def _parse_k_values(text: str) -> list[int]:
     if not values or values[0] < 1:
         raise argparse.ArgumentTypeError("k values must be integers >= 1")
     return values
-
-
-def _default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CANDIDATE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"{CAP_ENV_VAR} must be >= 1, got {cap}")
-    return cap
 
 
 # -- input loading -----------------------------------------------------------
@@ -222,21 +204,15 @@ def _cells_payload(profile) -> tuple[list[dict], list[dict], list[dict]]:
             "td": score.td,
             "n_candidates": score.n_candidates,
         }
-        for (_, _), score in sorted(
-            profile.scores.items(), key=lambda kv: (_TYPE_ORDER[kv[0][0]], kv[0][1])
-        )
+        for score in profile.scores.values()
     ]
     skipped = [
         {"type": t.value, "size": size, "reason": reason}
-        for (t, size), reason in sorted(
-            profile.skipped.items(), key=lambda kv: (_TYPE_ORDER[kv[0][0]], kv[0][1])
-        )
+        for (t, size), reason in profile.skipped.items()
     ]
     failures = [
         {"type": t.value, "size": size, "error": message}
-        for (t, size), message in sorted(
-            profile.failures.items(), key=lambda kv: (_TYPE_ORDER[kv[0][0]], kv[0][1])
-        )
+        for (t, size), message in profile.failures.items()
     ]
     return cells, skipped, failures
 
@@ -260,16 +236,15 @@ def _cmd_stats(args) -> int:
 
 def _cmd_risk(args) -> int:
     timing: dict[str, float] = {}
-    cap = args.cap if args.cap is not None else _default_cap()
     log, ingest, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
-    profile = risk_profile(log, args.types, args.sizes, args.aggregation, cap=cap)
+    profile = risk_profile(log, args.types, args.sizes, args.aggregation, cap=args.cap)
     timing["risk"] = time.perf_counter() - t0
     if args.dump_candidates:
         dump_dir = Path(args.dump_candidates)
         dump_dir.mkdir(parents=True, exist_ok=True)
         for bk_type, size in profile.scores:
-            index = enumerate_candidates(log, bk_type, size, cap=cap)
+            index = enumerate_candidates(log, bk_type, size, cap=args.cap)
             with open(dump_dir / f"candidates_{bk_type.value}_{size}.csv", "w") as fh:
                 index.write_csv(fh)
     cells, skipped, failures = _cells_payload(profile)
@@ -329,7 +304,6 @@ def _cmd_utility(args) -> int:
 
 def _cmd_sweep(args) -> int:
     timing: dict[str, float] = {}
-    cap = args.cap if args.cap is not None else _default_cap()
     log, ingest, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
     records = []
@@ -338,7 +312,9 @@ def _cmd_sweep(args) -> int:
         record: dict = {"k": k}
         try:
             anonymized = k_anonymize(log, AnonymizationConfig(k=k, strategy=args.strategy))
-            profile = risk_profile(anonymized, args.types, args.sizes, args.aggregation, cap=cap)
+            profile = risk_profile(
+                anonymized, args.types, args.sizes, args.aggregation, cap=args.cap
+            )
             utility = data_utility(log, anonymized)
         except (ValueError, CandidateLimitError, SolverError) as exc:
             record["error"] = str(exc)
@@ -405,8 +381,8 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--aggregation", type=lambda s: Aggregation(s.lower()),
                      default=Aggregation.AVERAGE, choices=list(Aggregation),
                      metavar="{average,worst}", help="average (default) or worst")
-    sub.add_argument("--cap", type=int, default=None,
-                     help=f"candidate cap per cell (default: ${CAP_ENV_VAR} or {DEFAULT_CANDIDATE_CAP})")
+    sub.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
+                     help=f"candidate cap per cell (default: {DEFAULT_CANDIDATE_CAP})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .background import BkType, CandidateIndex, DEFAULT_CANDIDATE_CAP, enumerate_candidates
 from .errors import CandidateLimitError
-from .event_log import EventLog, LogStats, stats
+from .event_log import EventLog
 
 
 class Aggregation(Enum):
@@ -40,13 +40,14 @@ class RiskProfile:
 
     ``skipped`` records cells for which no candidate of that size exists (a
     legitimate absence); ``failures`` records cells whose enumeration hit the
-    candidate cap.  scores/skipped/failures keys partition the grid.
+    candidate cap.  scores/skipped/failures keys partition the grid, and
+    each mapping lists its keys in grid order: by type as given, then by
+    size as given.
     """
 
     scores: Mapping[tuple[BkType, int], RiskScore]
     skipped: Mapping[tuple[BkType, int], str]
     failures: Mapping[tuple[BkType, int], str]
-    log_stats: LogStats
 
 
 def _require_candidates(index: CandidateIndex) -> None:
@@ -126,4 +127,4 @@ def risk_profile(
                 n_candidates=index.candidate_count,
                 aggregation=aggregation,
             )
-    return RiskProfile(scores=scores, skipped=skipped, failures=failures, log_stats=stats(log))
+    return RiskProfile(scores=scores, skipped=skipped, failures=failures)

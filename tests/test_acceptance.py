@@ -195,7 +195,8 @@ def test_c07_enumeration_equals_naive_oracle_on_200_random_logs():
         for kind_name, bk_type in kinds.items():
             for size in (1, 2, 3):
                 index = enumerate_candidates(log, bk_type, size)
-                got = {c.elements: dict(p.matches) for c, p in index.items()}
+                items = ((c, project(log, c)) for c in index.candidates())
+                got = {c.elements: dict(p.matches) for c, p in items}
                 assert got == naive_candidate_index(log, kind_name, size)
 
 

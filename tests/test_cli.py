@@ -129,6 +129,14 @@ class TestRisk:
         assert [c["size"] for c in report["results"]["cells"]] == []
         assert {f["size"] for f in report["results"]["failures"]} == {1, 2}
 
+    def test_cells_are_listed_in_grid_order(self, capsys, ex2_l2_csv):
+        code, report = run_json(
+            capsys, ["risk", str(ex2_l2_csv), "--types", "seq,set", "--sizes", "2,1"]
+        )
+        assert code == EXIT_OK
+        cells = [(c["type"], c["size"]) for c in report["results"]["cells"]]
+        assert cells == [("set", 1), ("set", 2), ("seq", 1), ("seq", 2)]
+
     def test_golden_report_schema(self, capsys, tmp_path):
         path = write_csv(tmp_path / "ex2_l2.csv", EX2_L2_ROWS)
         code, report = run_json(
@@ -277,29 +285,6 @@ class TestSweep:
         assert code == EXIT_OK
         (record,) = report["results"]["records"]
         assert record["anonymized"]["n_traces"] == 12
-
-
-class TestCapEnvVar:
-    def test_env_var_sets_default_cap(self, capsys, ex2_l2_csv, monkeypatch):
-        monkeypatch.setenv("LOGPRIVACY_CAP", "5")
-        code, report = run_json(
-            capsys, ["risk", str(ex2_l2_csv), "--types", "set", "--sizes", "1"]
-        )
-        assert code == EXIT_RESOURCE
-        assert report["results"]["failures"]
-
-    def test_explicit_flag_overrides_env(self, capsys, ex2_l2_csv, monkeypatch):
-        monkeypatch.setenv("LOGPRIVACY_CAP", "5")
-        code, report = run_json(
-            capsys, ["risk", str(ex2_l2_csv), "--types", "set", "--sizes", "1", "--cap", "100"]
-        )
-        assert code == EXIT_OK
-        assert report["results"]["cells"]
-
-    def test_bad_env_value_is_an_input_error(self, capsys, ex2_l2_csv, monkeypatch):
-        monkeypatch.setenv("LOGPRIVACY_CAP", "lots")
-        code = main(["risk", str(ex2_l2_csv), "--types", "set", "--sizes", "1"])
-        assert code == EXIT_INPUT
 
 
 class TestCsvQuoting:

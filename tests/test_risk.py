@@ -121,7 +121,6 @@ class TestRiskProfile:
         profile = risk_profile(example1_log, [BkType.SET], [1, 2])
         assert set(profile.scores) == {(BkType.SET, 1), (BkType.SET, 2)}
         assert not profile.skipped and not profile.failures
-        assert profile.log_stats.n_traces == 50
 
     def test_oversized_cells_are_recorded_absent(self, example1_log):
         profile = risk_profile(example1_log, [BkType.SEQUENCE], [1, 9])
