@@ -6,33 +6,36 @@ order some of them occurred (subsequence).  This module enumerates every such
 candidate that matches at least one trace of a log, together with the two
 aggregates of its matching traces that the risk measures read.
 
-Enumeration never ranges over the full activity alphabet.  It grows a
-frontier of partial candidates inside the variants, one activity per level,
-so only candidates with a non-empty projection are ever produced.  A frontier
-row is (variant, state, packed key), and every candidate a variant contains
-is reached from it along exactly one path:
+Each type is decided by one rule over a view of the trace: a candidate
+matches a trace when it is a subsequence of the trace's view.  The view of
+a subsequence is the trace itself; of a multiset, its sorted activities; of
+a set, its sorted distinct activities.  Canonical multiset and set
+candidates are sorted, and a sorted candidate is a subsequence of a sorted
+view exactly when every activity occurs in the view at least as often as in
+the candidate.
 
-* subsequence: the state is a position in a per-log next-occurrence table;
-  the successor for activity a is the first occurrence of a after it;
-* multiset: the state is the last activity and how many of its copies are
-  used; the successor activity must be greater, or equal while the variant
-  still has copies of it;
-* set: the multiset rule over each variant's distinct activities, so the
-  successor activity must be strictly greater.
+Enumeration never ranges over the full activity alphabet.  It grows a
+frontier of partial candidates inside the variants' views, one activity per
+level, so only candidates with a non-empty projection are ever produced.  A
+frontier row is (variant, position, packed key), and every candidate a view
+contains is reached from it along exactly one path: the position indexes a
+per-call next-occurrence table, and the successor for activity a is the
+first occurrence of a after it.  Variants whose views are equal stay
+separate rows, each adding its own trace count.
 
 A level is one vectorized step over the frontier for all activities at once,
 and rows that can no longer reach the requested size are dropped as they
 arise.  Candidates with different first activities have disjoint key ranges,
 so after the first level the frontier is split by first activity, and each
 part is expanded depth first in chunks of a bounded number of states, so the
-frontier's memory stays bounded however long the traces are.  The tables a
-step reads are built once per call and not chunked: the next-occurrence
-table holds one int32 per activity for every event and every end of the
-log's variants, and the multiset tables two per activity and variant.  So
-they grow with variant events x alphabet; 100k variants of 50 events over 200
-activities would need about 4 GB for the subsequence table.  Only the last
-level is reduced, straight to each candidate's cardinality and entropy sum,
-by sorting the keys and summing runs of equal ones.  Keys are fixed-width
+frontier's memory stays bounded however long the traces are.  The table a
+step reads is built once per call and not chunked: it holds one int32 per
+activity for every event and every end of the views, so it grows with view
+events x alphabet.  On the benchmark's Sepsis-shaped log it takes 0.94 MB
+for subsequences and multisets and 0.55 MB for sets; 100k variants of 50
+events over 200 activities would need about 4 GB.  Only the last level is
+reduced, straight to each candidate's cardinality and entropy sum, by
+sorting the keys and summing runs of equal ones.  Keys are fixed-width
 packed integers, split over several 63-bit words when the alphabet and size
 need more bits.
 
@@ -44,7 +47,6 @@ callers that need a candidate's matching traces get them from
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
@@ -102,20 +104,19 @@ class Projection:
     cardinality: int
 
 
-def _is_subsequence(pattern: Sequence[int], trace: Sequence[int]) -> bool:
-    it = iter(trace)
-    return all(a in it for a in pattern)
+def _view(kind: BkType, v: Variant) -> Sequence[int]:
+    """The trace whose subsequences are the candidates of ``kind`` in ``v``."""
+    if kind is BkType.SEQUENCE:
+        return v
+    if kind is BkType.MULTISET:
+        return sorted(v)
+    return sorted(set(v))
 
 
 def matches(candidate: Candidate, v: Variant) -> bool:
     """Does variant ``v`` carry the knowledge described by ``candidate``?"""
-    if candidate.kind is BkType.SET:
-        return set(candidate.elements).issubset(v)
-    if candidate.kind is BkType.MULTISET:
-        need = Counter(candidate.elements)
-        have = Counter(v)
-        return all(have[a] >= c for a, c in need.items())
-    return _is_subsequence(candidate.elements, v)
+    it = iter(_view(candidate.kind, v))
+    return all(a in it for a in candidate.elements)
 
 
 def project(log: EventLog, candidate: Candidate) -> Projection:
@@ -195,27 +196,30 @@ class CandidateIndex:
 
 # -- enumeration -------------------------------------------------------------
 
-# A frontier state is a tuple of arrays whose first member is the variant
-# index.  An expansion step takes the states and the number of elements still
-# to add after this one, and returns, for every successor, the row of its
-# parent, the activity it adds, and the successor states.
+# A frontier state is a tuple of arrays: the variant index and the position in
+# the next-occurrence table.  An expansion step takes the states and the
+# number of elements still to add after this one, and returns, for every
+# successor, the row of its parent, the activity it adds, and the successor
+# states.
 _State = tuple[np.ndarray, ...]
 _Expand = Callable[[_State, int], tuple[np.ndarray, np.ndarray, _State]]
 
 
-def _flatten(log: EventLog) -> tuple[np.ndarray, np.ndarray]:
+def _flatten(variants: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Variant lengths, and the events of all variants end to end."""
-    lengths = np.fromiter(map(len, log.variants), dtype=np.int64, count=len(log.variants))
+    lengths = np.fromiter(map(len, variants), dtype=np.int64, count=len(variants))
     events = np.fromiter(
-        itertools.chain.from_iterable(log.variants), dtype=np.int64, count=int(lengths.sum())
+        itertools.chain.from_iterable(variants), dtype=np.int64, count=int(lengths.sum())
     )
     return lengths, events
 
 
-def _subsequence_frontier(log: EventLog) -> tuple[_State, _Expand]:
-    """Start states (variant, position) and expansion step for subsequences."""
-    n_labels = len(log.labels)
-    lengths, events = _flatten(log)
+def _subsequence_frontier(
+    variants: Sequence[Sequence[int]], n_labels: int
+) -> tuple[_State, _Expand]:
+    """Start states (variant, position) and expansion step for subsequences
+    of ``variants`` over activities ``0 .. n_labels - 1``."""
+    lengths, events = _flatten(variants)
     # Every variant owns one row per event and one end row after them.
     ends = np.cumsum(lengths + 1) - 1
     n_rows = int(ends[-1]) + 1
@@ -241,36 +245,6 @@ def _subsequence_frontier(log: EventLog) -> tuple[_State, _Expand]:
         return parent, act, (variant[parent], succ.ravel()[flat] + 1)
 
     return (np.arange(len(lengths)), ends - lengths), expand
-
-
-def _bag_frontier(log: EventLog, distinct: bool) -> tuple[_State, _Expand]:
-    """Start states (variant, last activity, its copies used) and expansion
-    step for multisets, or for sets when ``distinct`` caps copies at one."""
-    n_labels = len(log.labels)
-    n_variants = len(log.variants)
-    lengths, events = _flatten(log)
-    owner = np.repeat(np.arange(n_variants), lengths)
-    copies = np.bincount(owner * n_labels + events, minlength=n_variants * n_labels)
-    copies = copies.reshape(n_variants, n_labels).astype(np.int32)
-    if distinct:
-        copies = np.minimum(copies, 1)
-    # room[v, a]: copies in v of activities a and above.
-    room = np.cumsum(copies[:, ::-1], axis=1, dtype=np.int32)[:, ::-1]
-    labels = np.arange(n_labels)
-
-    def expand(state: _State, need: int):
-        variant, last, used = state
-        # Copies of activity a the candidate holds once a is added.
-        take = np.where(labels == last[:, None], used[:, None] + 1, 1)
-        ok = labels >= last[:, None]
-        ok &= copies[variant] >= take
-        ok &= room[variant] - take >= need
-        flat = np.flatnonzero(ok)
-        parent, act = np.divmod(flat, n_labels)
-        return parent, act, (variant[parent], act, take.ravel()[flat])
-
-    start = (np.arange(n_variants), np.full(n_variants, -1), np.zeros(n_variants, dtype=np.int32))
-    return start, expand
 
 
 def _group(words: list[np.ndarray], cards: np.ndarray, ents: np.ndarray):
@@ -304,7 +278,7 @@ def enumerate_candidates(
     """Build the index of all size-``size`` candidates with matching traces.
 
     The frontier starts with one empty candidate per variant and grows one
-    activity per level under the successor rule of ``bk_type`` (see the
+    activity per level inside the variant's view for ``bk_type`` (see the
     module docstring), so only candidates with non-empty projections are
     produced, and each variant reaches each of its candidates exactly once
     and adds its full trace count to it.  After the first level the frontier
@@ -323,10 +297,7 @@ def enumerate_candidates(
     bits = max(1, (n_labels - 1).bit_length())
     per_word = 63 // bits
     n_words = -(-size // per_word)
-    if bk_type is BkType.SEQUENCE:
-        start, expand = _subsequence_frontier(log)
-    else:
-        start, expand = _bag_frontier(log, distinct=bk_type is BkType.SET)
+    start, expand = _subsequence_frontier([_view(bk_type, v) for v in log.variants], n_labels)
     counts = np.asarray(log.counts, dtype=np.float64)
     clog = counts * np.log2(counts)
     chunk = max(1, _FRONTIER_CAP // n_labels)

@@ -12,6 +12,7 @@ most severe failure category.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -185,14 +186,7 @@ def _emit_json(report: dict) -> None:
 
 
 def _stats_payload(log: EventLog) -> dict:
-    s = stats(log)
-    return {
-        "n_traces": s.n_traces,
-        "n_variants": s.n_variants,
-        "n_events": s.n_events,
-        "n_unique_activities": s.n_unique_activities,
-        "trace_uniqueness": s.trace_uniqueness,
-    }
+    return dataclasses.asdict(stats(log))
 
 
 def _cells_payload(profile) -> tuple[list[dict], list[dict], list[dict]]:

@@ -20,8 +20,9 @@ the remaining steps; each row's distance is read at its own last event.
 match table, so they stay under 200 KB however many traces there are (one
 column's table alone can exceed it on alphabets of over 2048 symbols); only
 the dense copy of the input's symbols (8 bytes per event) grows with the log.
-Symbols are remapped through the union of both sides, so any int ids are
-accepted.
+Symbols are remapped through the union of both sides, so any hashable
+symbols are accepted: activity ids, or the labels themselves when the two
+sides come from logs with different alphabets.
 
 On the benchmark's Sepsis-shaped log (863 variants of up to 185 events over
 16 activities), on a 2-core VM, the ten distance matrices of a merge-nearest
@@ -32,7 +33,7 @@ sweep take 0.1 s and the full 863x863 matrix about 0.45 s, against 3.3 s and
 from __future__ import annotations
 
 from itertools import chain
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -169,12 +170,15 @@ def _slab_distances(table: np.ndarray, col_lens: np.ndarray, syms: np.ndarray,
     return score
 
 
-def distance_matrix(rows: Sequence[Variant], cols: Sequence[Variant]) -> np.ndarray:
-    """Dense matrix of normalized distances between two variant lists.
+def distance_matrix(
+    rows: Sequence[Sequence[Hashable]], cols: Sequence[Sequence[Hashable]]
+) -> np.ndarray:
+    """Dense matrix of normalized distances between two lists of traces.
 
     Same values as calling :func:`normalized_distance` per pair: the integer
-    edit distance divided by the longer length.  See the module docstring for
-    how the distances are computed.
+    edit distance divided by the longer length.  A trace may hold any
+    hashable symbols, compared by equality across both lists.  See the
+    module docstring for how the distances are computed.
     """
     if any(not r for r in rows) or any(not c for c in cols):
         raise ValueError("normalized distance requires non-empty traces")

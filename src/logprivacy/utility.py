@@ -101,24 +101,17 @@ class UtilityReport:
 def build_problem(original: EventLog, anonymized: EventLog) -> TransportProblem:
     """Assemble the transport problem between two logs' variant distributions.
 
-    Variants from both logs are re-encoded into a joint activity alphabet so
-    distances are well-defined across logs with different label sets.
+    Distances are taken between the variants' activity labels, so they are
+    well-defined across logs with different label sets.
     """
-    joint = sorted(set(original.labels) | set(anonymized.labels))
-    ids = {lab: i for i, lab in enumerate(joint)}
-
-    def encode(log: EventLog) -> list[tuple[int, ...]]:
-        return [tuple(ids[log.labels[a]] for a in v) for v in log.variants]
-
-    rows = encode(original)
-    cols = encode(anonymized)
-    cost = distance_matrix(rows, cols)
+    rows = tuple(original.variant_labels(v) for v in original.variants)
+    cols = tuple(anonymized.variant_labels(v) for v in anonymized.variants)
     return TransportProblem(
-        source_variants=tuple(original.variant_labels(v) for v in original.variants),
+        source_variants=rows,
         source_counts=original.counts,
-        sink_variants=tuple(anonymized.variant_labels(v) for v in anonymized.variants),
+        sink_variants=cols,
         sink_counts=anonymized.counts,
-        cost=cost,
+        cost=distance_matrix(rows, cols),
     )
 
 
