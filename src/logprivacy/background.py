@@ -26,14 +26,16 @@ separate rows, each adding its own trace count.
 A level is one vectorized step over the frontier for all activities at once,
 and rows that can no longer reach the requested size are dropped as they
 arise.  Candidates with different first activities have disjoint key ranges,
-so after the first level the frontier is split by first activity, and each
-part is expanded depth first in chunks of a bounded number of states, so the
-frontier's memory stays bounded however long the traces are.  The table a
-step reads is built once per call and not chunked: it holds one int32 per
-activity for every event and every end of the views, so it grows with view
-events x alphabet.  On the benchmark's Sepsis-shaped log it takes 0.94 MB
-for subsequences and multisets and 0.55 MB for sets; 100k variants of 50
-events over 200 activities would need about 4 GB.  Only the last level is
+so each first activity is grown on its own: its first level is read from the
+table's column at each view's start, and it is expanded depth first in
+chunks of a bounded number of rows, so the frontier's memory stays bounded
+however long the traces are.  The table is built once per call and not
+chunked: it holds one int32 per activity for every event and every end of
+the views, so it grows with view events x alphabet.  On the benchmark's
+Sepsis-shaped log it takes 0.94 MB for subsequences and multisets and
+0.55 MB for sets; 100k variants of 50 events over 200 activities would need
+about 4 GB.  The table is a function of the views alone, so building it per
+block of views is one call on a slice of them.  Only the last level is
 reduced, straight to each candidate's cardinality and entropy sum, by
 sorting the keys and summing runs of equal ones.  Keys are fixed-width
 packed integers, split over several 63-bit words when the alphabet and size
@@ -46,10 +48,11 @@ callers that need a candidate's matching traces get them from
 
 from __future__ import annotations
 
+import csv
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -163,7 +166,8 @@ class CandidateIndex:
     def candidate_count(self) -> int:
         return len(self._cards)
 
-    def _decode(self, pos: int) -> Candidate:
+    def _elements(self, pos: int) -> list[int]:
+        """The activity ids of the candidate at ``pos``, decoded from its key."""
         mask = (1 << self._bits) - 1
         per_word = 63 // self._bits
         elements = []
@@ -171,11 +175,11 @@ class CandidateIndex:
             n = min(per_word, self.size - w * per_word)
             word = int(column[pos])
             elements.extend((word >> (self._bits * (n - 1 - i))) & mask for i in range(n))
-        return Candidate(self.bk_type, tuple(elements))
+        return elements
 
     def candidates(self) -> Iterator[Candidate]:
         for pos in range(self.candidate_count):
-            yield self._decode(pos)
+            yield Candidate(self.bk_type, tuple(self._elements(pos)))
 
     def cardinalities(self) -> np.ndarray:
         """Multiplicity-weighted projection size per candidate, canonical order."""
@@ -186,41 +190,33 @@ class CandidateIndex:
         return self._entsums
 
     def write_csv(self, out: TextIO) -> None:
-        """Debug dump: one ``candidate,cardinality`` line in canonical order."""
-        out.write("candidate,cardinality\n")
+        """Debug dump: one ``candidate,cardinality`` CSV row in canonical order.
+
+        A candidate is its labels joined by ``|``; a name holding a comma,
+        quote or line break is quoted as RFC 4180 asks.
+        """
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("candidate", "cardinality"))
         for pos, card in enumerate(self._cards):
-            cand = self._decode(pos)
-            name = "|".join(self._labels[a] for a in cand.elements)
-            out.write(f"{name},{int(card)}\n")
+            writer.writerow(("|".join(self._labels[a] for a in self._elements(pos)), int(card)))
 
 
 # -- enumeration -------------------------------------------------------------
 
-# A frontier state is a tuple of arrays: the variant index and the position in
-# the next-occurrence table.  An expansion step takes the states and the
-# number of elements still to add after this one, and returns, for every
-# successor, the row of its parent, the activity it adds, and the successor
-# states.
-_State = tuple[np.ndarray, ...]
-_Expand = Callable[[_State, int], tuple[np.ndarray, np.ndarray, _State]]
+def _next_occurrence(
+    views: Sequence[Sequence[int]], n_labels: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The next-occurrence table of ``views`` over activities ``0 .. n_labels - 1``.
 
-
-def _flatten(variants: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Variant lengths, and the events of all variants end to end."""
-    lengths = np.fromiter(map(len, variants), dtype=np.int64, count=len(variants))
+    Every view owns one row per event and one end row after them; ``ends``
+    and ``starts`` give each view's end row and first row.  ``nxt[p, a]`` is
+    the first row at or after ``p`` of an event ``a`` in ``p``'s view, or the
+    number of rows when there is none.
+    """
+    lengths = np.fromiter(map(len, views), dtype=np.int64, count=len(views))
     events = np.fromiter(
-        itertools.chain.from_iterable(variants), dtype=np.int64, count=int(lengths.sum())
+        itertools.chain.from_iterable(views), dtype=np.int64, count=int(lengths.sum())
     )
-    return lengths, events
-
-
-def _subsequence_frontier(
-    variants: Sequence[Sequence[int]], n_labels: int
-) -> tuple[_State, _Expand]:
-    """Start states (variant, position) and expansion step for subsequences
-    of ``variants`` over activities ``0 .. n_labels - 1``."""
-    lengths, events = _flatten(variants)
-    # Every variant owns one row per event and one end row after them.
     ends = np.cumsum(lengths + 1) - 1
     n_rows = int(ends[-1]) + 1
     acts = np.full(n_rows, -1, dtype=np.int64)
@@ -229,22 +225,11 @@ def _subsequence_frontier(
     acts[is_event] = events
     row_end = np.repeat(ends, lengths + 1)
     rows = np.arange(n_rows)
-    # nxt[p, a]: the first row at or after p of an event a in p's variant,
-    # or n_rows when there is none.
     nxt = np.empty((n_rows, n_labels), dtype=np.int32 if n_rows < 2**31 - 1 else np.int64)
     for a in range(n_labels):
         first = np.minimum.accumulate(np.where(acts == a, rows, n_rows)[::-1])[::-1]
         nxt[:, a] = np.where(first < row_end, first, n_rows)
-
-    def expand(state: _State, need: int):
-        variant, pos = state
-        succ = nxt[pos]
-        # The chosen event must leave at least ``need`` events after it.
-        flat = np.flatnonzero(succ < (ends[variant] - need)[:, None])
-        parent, act = np.divmod(flat, n_labels)
-        return parent, act, (variant[parent], succ.ravel()[flat] + 1)
-
-    return (np.arange(len(lengths)), ends - lengths), expand
+    return nxt, ends, ends - lengths
 
 
 def _group(words: list[np.ndarray], cards: np.ndarray, ents: np.ndarray):
@@ -277,14 +262,14 @@ def enumerate_candidates(
 ) -> CandidateIndex:
     """Build the index of all size-``size`` candidates with matching traces.
 
-    The frontier starts with one empty candidate per variant and grows one
-    activity per level inside the variant's view for ``bk_type`` (see the
-    module docstring), so only candidates with non-empty projections are
-    produced, and each variant reaches each of its candidates exactly once
-    and adds its full trace count to it.  After the first level the frontier
-    is split by first activity, and each part is expanded depth first in
-    chunks of a bounded number of states and reduced on its own; only size
-    ``size`` is reduced to per-candidate cardinalities and entropy sums.
+    The frontier grows one activity per level inside each variant's view
+    for ``bk_type`` (see the module docstring), so only candidates with
+    non-empty projections are produced, and each variant reaches each of its
+    candidates exactly once and adds its full trace count to it.  Each first
+    activity is seeded from its column of the next-occurrence table, then
+    expanded depth first in chunks of a bounded number of rows and reduced
+    on its own; only size ``size`` is reduced to per-candidate
+    cardinalities and entropy sums.
     Exceeding ``cap`` distinct candidates aborts with
     :class:`CandidateLimitError` rather than returning a partial index.
     """
@@ -297,59 +282,61 @@ def enumerate_candidates(
     bits = max(1, (n_labels - 1).bit_length())
     per_word = 63 // bits
     n_words = -(-size // per_word)
-    start, expand = _subsequence_frontier([_view(bk_type, v) for v in log.variants], n_labels)
+    nxt, ends, starts = _next_occurrence([_view(bk_type, v) for v in log.variants], n_labels)
     counts = np.asarray(log.counts, dtype=np.float64)
     clog = counts * np.log2(counts)
     chunk = max(1, _FRONTIER_CAP // n_labels)
 
-    def descend(level: int, state: _State, words: list[np.ndarray]):
-        """The size-``size`` frontier grown from ``state``, chunk by chunk."""
-        stack = [(level, state, words)]
-        while stack:
-            level, state, words = stack.pop()
-            if level == size:
-                yield state, words
-                continue
-            if len(state[0]) > chunk:
-                stack.append((level, tuple(s[chunk:] for s in state), [w[chunk:] for w in words]))
-                state, words = tuple(s[:chunk] for s in state), [w[:chunk] for w in words]
-            parent, act, state = expand(state, size - level - 1)
-            if len(parent):
-                words = [w[parent] for w in words]
-                w = level // per_word
-                words[w] <<= bits
-                words[w] |= act
-                stack.append((level + 1, state, words))
+    def expand(level: int, variant: np.ndarray, pos: np.ndarray, words: list[np.ndarray]):
+        """The frontier rows one level deeper than the given rows at ``level``."""
+        succ = nxt[pos]
+        # The chosen event must leave room for the elements still to add.
+        flat = np.flatnonzero(succ < (ends[variant] - (size - level - 1))[:, None])
+        parent, act = np.divmod(flat, n_labels)
+        words = [w[parent] for w in words]
+        w = level // per_word
+        words[w] <<= bits
+        words[w] |= act
+        return variant[parent], succ.ravel()[flat] + 1, words
 
     def check_cap(count: int) -> None:
         if count > cap:
             raise CandidateLimitError(bk_type, size, count=count, cap=cap)
 
-    # The first level for all variants at once; it is no larger than the
-    # tables behind ``expand``.  Candidates with different first activities
-    # have disjoint key ranges, so each first activity is grown and reduced
-    # on its own, in ascending order.
-    _, first_act, first_state = expand(start, size - 1)
-    order = np.argsort(first_act, kind="stable")
-    bounds = np.searchsorted(first_act[order], np.arange(n_labels + 1))
+    # Candidates with different first activities have disjoint key ranges,
+    # so each first activity is grown and reduced on its own, in ascending
+    # order.  Its rows are the views whose first occurrence of it leaves
+    # room for the rest of the candidate.
     empty = ([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0), np.zeros(0))
     results = [empty]
     found = 0
     for a in range(n_labels):
-        rows = order[bounds[a] : bounds[a + 1]]
-        if not len(rows):
+        first = nxt[starts, a]
+        variant = np.flatnonzero(first < ends - (size - 1))
+        if not len(variant):
             continue
-        words = [np.full(len(rows), a, dtype=np.int64)]
-        words += [np.zeros(len(rows), dtype=np.int64)] * (n_words - 1)
-        chunks = descend(1, tuple(s[rows] for s in first_state), words)
-        # Chunks are grouped as they come and merged once the pending
-        # rows outgrow the merged ones, so each row is merged O(log n) times.
+        words = [np.full(len(variant), a, dtype=np.int64)]
+        words += [np.zeros(len(variant), dtype=np.int64)] * (n_words - 1)
+        stack = [(1, variant, first[variant] + 1, words)]
+        # Depth first, chunk by chunk: a level is dropped once its last chunk
+        # is expanded.  Chunks that reach ``size`` are grouped as they come and
+        # merged once the pending rows outgrow the merged ones, so each row
+        # is merged O(log n) times.
         merged, parts = empty, []
-        for state, words in chunks:
-            parts.append(_group(words, counts[state[0]], clog[state[0]]))
-            if sum(len(p[1]) for p in parts) > max(len(merged[1]), _FRONTIER_CAP):
-                merged, parts = _group(*_concat([merged, *parts])), []
-                check_cap(found + len(merged[1]))
+        while stack:
+            level, variant, pos, words = stack.pop()
+            if level == size:
+                parts.append(_group(words, counts[variant], clog[variant]))
+                if sum(len(p[1]) for p in parts) > max(len(merged[1]), _FRONTIER_CAP):
+                    merged, parts = _group(*_concat([merged, *parts])), []
+                    check_cap(found + len(merged[1]))
+                continue
+            if len(variant) > chunk:
+                stack.append((level, variant[chunk:], pos[chunk:], [w[chunk:] for w in words]))
+                variant, pos, words = variant[:chunk], pos[:chunk], [w[:chunk] for w in words]
+            variant, pos, words = expand(level, variant, pos, words)
+            if len(variant):
+                stack.append((level + 1, variant, pos, words))
         results.append(_group(*_concat([merged, *parts])))
         found += len(results[-1][1])
         check_cap(found)

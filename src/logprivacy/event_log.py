@@ -27,14 +27,6 @@ Variant = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Activity:
-    """An interned activity: a stable small id plus the original label."""
-
-    id: int
-    label: str
-
-
-@dataclass(frozen=True)
 class RawEvent:
     """One event as read from an input file, before grouping into traces."""
 
@@ -83,10 +75,10 @@ class EventLog:
 
     Variants are stored in canonical (lexicographic id tuple) order.  That
     equals lexicographic label-sequence order only when ids are assigned to
-    sorted labels, as ``from_counts`` and ``build_log`` do.  The alphabet
-    contains exactly the activities occurring in at least one variant.  Two
-    logs are equal when they have the same labelled variants with the same
-    counts, whatever their id assignments.
+    sorted labels, as ``from_counts`` and ``build_log`` do.  The alphabet,
+    ``labels``, holds exactly the activities occurring in at least one
+    variant.  Two logs are equal when they have the same labelled variants
+    with the same counts, whatever their id assignments.
     """
 
     __slots__ = ("_variants", "_counts", "_labels", "_total", "_positions")
@@ -151,10 +143,6 @@ class EventLog:
     @property
     def total_traces(self) -> int:
         return self._total
-
-    @property
-    def alphabet(self) -> tuple[Activity, ...]:
-        return tuple(Activity(i, lab) for i, lab in enumerate(self._labels))
 
     def count(self, v: Variant) -> int:
         i = self._positions.get(tuple(v))
@@ -233,11 +221,12 @@ def ingest_csv(
 ) -> IngestResult:
     """Read events from a UTF-8 CSV byte stream with a header row.
 
-    Rows that cannot be used (blank case or activity, unparsable timestamp,
+    A leading UTF-8 byte order mark, as spreadsheet exports write, is
+    skipped.  Rows that cannot be used (blank case or activity, unparsable timestamp,
     missing cells) are reported as :class:`RowError` entries rather than
     silently dropped; the remaining rows are returned in file order.
     """
-    text = io.TextIOWrapper(_maybe_gzip(stream), encoding="utf-8", newline="")
+    text = io.TextIOWrapper(_maybe_gzip(stream), encoding="utf-8-sig", newline="")
     reader = csv.reader(text)
     try:
         header = next(reader)

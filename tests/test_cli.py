@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -288,17 +289,35 @@ class TestSweep:
 
 
 class TestCsvQuoting:
-    def test_rfc4180_quoted_fields(self, capsys, tmp_path):
+    @pytest.fixture
+    def quoted_csv(self, tmp_path):
         path = tmp_path / "quoted.csv"
         path.write_text(
             'case,activity,time\n'
             '"c,1","register, fast",2020-01-01T00:00:00\n'
             '"c,1","triage",2020-01-01T00:01:00\n'
         )
-        code, report = run_json(capsys, ["stats", str(path)])
+        return path
+
+    def test_rfc4180_quoted_fields(self, capsys, quoted_csv):
+        code, report = run_json(capsys, ["stats", str(quoted_csv)])
         assert code == EXIT_OK
         assert report["results"]["stats"]["n_traces"] == 1
         assert report["results"]["stats"]["n_events"] == 2
+
+    def test_candidate_dump_reads_back_as_csv(self, capsys, quoted_csv, tmp_path):
+        dump = tmp_path / "dump"
+        code, _ = run_json(
+            capsys,
+            ["risk", str(quoted_csv), "--types", "set,seq", "--sizes", "1-2", "--dump-candidates", str(dump)],
+        )
+        assert code == EXIT_OK
+        with open(dump / "candidates_set_1.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["candidate", "cardinality"], ["register, fast", "1"], ["triage", "1"],
+            ]
+        with open(dump / "candidates_seq_2.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == [["candidate", "cardinality"], ["register, fast|triage", "1"]]
 
 
 class TestXesInput:

@@ -92,6 +92,12 @@ class TestIngestCsv:
         assert event.case_id == "c7"
         assert event.timestamp == datetime(2020, 12, 31, 23, 59, tzinfo=timezone.utc)
 
+    def test_utf8_byte_order_mark_is_skipped(self):
+        result = ingest_csv(io.BytesIO(b"\xef\xbb\xbfcase,activity,time\n1,a,2020-01-01\n"))
+        (event,) = result.events
+        assert (event.case_id, event.activity) == ("1", "a")
+        assert not result.errors
+
     def test_gzipped_csv_is_transparent(self):
         raw = gzip.compress(b"case,activity,time\n1,a,2020-01-01\n")
         result = ingest_csv(io.BytesIO(raw))
@@ -196,7 +202,7 @@ class TestEventLogInvariants:
 
     def test_alphabet_is_exactly_used_activities(self):
         log = EventLog.from_counts({("b", "a"): 2})
-        assert tuple(a.label for a in log.alphabet) == ("a", "b")
+        assert log.labels == ("a", "b")
 
     def test_variants_in_canonical_order(self):
         log = EventLog.from_counts({("b",): 1, ("a", "c"): 1, ("a",): 1})
