@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distance import distance_matrix
+from .distance import closest_columns, distance_matrix
 from .event_log import EventLog
 
 
@@ -60,12 +60,8 @@ def k_anonymize(log: EventLog, config: AnonymizationConfig) -> EventLog:
         dists = distance_matrix(
             [log.variants[i] for i in small], [log.variants[i] for i in keep]
         )
-        # Ties: closest distance, then larger anchor count, then canonical
-        # order, which is argmax's first-index rule over the closest anchors
-        # (anchor counts are at least k, so 0 rules out the others).
-        anchor_counts = np.array([log.counts[i] for i in keep])
-        closest = dists == dists.min(axis=1, keepdims=True)
-        best = np.where(closest, anchor_counts, 0).argmax(axis=1)
+        # Ties: closest distance, then larger anchor count, then canonical order.
+        best = closest_columns(dists, np.array([log.counts[i] for i in keep]))
         for i, a in zip(small, best.tolist()):
             new_counts[keep[a]] += log.counts[i]
     counted = {

@@ -76,6 +76,17 @@ def normalized_distance(a: Variant, b: Variant) -> float:
     return levenshtein(a, b) / max(len(a), len(b))
 
 
+def closest_columns(cost: np.ndarray, weight) -> np.ndarray:
+    """Each row's closest column: the least cost, then the largest weight,
+    then the first column.
+
+    ``weight`` holds one non-negative number per column.  This is
+    merge-nearest's anchor choice; the EMD's nearest-sink plan reuses it, so
+    the two cannot disagree on a tie.
+    """
+    return np.where(cost == cost.min(axis=1, keepdims=True), weight, -1).argmax(axis=1)
+
+
 def _match_table(syms: np.ndarray, starts: np.ndarray, lens: np.ndarray,
                  n_words: int, n_syms: int) -> np.ndarray:
     """Per-symbol match bitmasks of some columns, shape (words, symbols, columns).

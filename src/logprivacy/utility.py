@@ -5,6 +5,15 @@ compared with a balanced transportation problem whose ground cost is the
 normalized edit distance between variants.  The minimal reallocation cost is
 the utility loss ``ul``; data utility is ``du = 1 - ul``.
 
+Every plan returned comes with a certificate of optimality, from one of three
+paths.  Equal logs get the identity plan, at cost 0.  When both logs have the
+same trace total and sending each source variant whole to a closest sink
+variant meets every sink's count exactly, as merge-nearest anonymization
+does, that plan is taken: each flow sits on its row's least cost, so the duals
+u_i = min_j cost[i, j], v_j = 0 are feasible and price the plan at its own
+cost (the relaxed-EMD bound of Kusner et al. 2015 is then exact).  Otherwise
+``solve`` runs.
+
 The solve is a primal network simplex on the bipartite graph plus an
 artificial root.  It starts from a strongly feasible star tree, prices arcs in
 row blocks and picks leaving arcs by Cunningham's rule, so the many degenerate
@@ -26,11 +35,11 @@ from typing import TextIO
 
 import numpy as np
 
-from .distance import distance_matrix
+from .distance import closest_columns, distance_matrix
 from .errors import InputError, SolverError
 from .event_log import EventLog
 
-_MASS_TOL = 1e-9
+_UL_TOL = 1e-9
 _REDUCED_COST_TOL = 1e-9
 # Only a guard against an endless loop: strongly feasible trees cannot cycle,
 # and log pairs need far fewer pivots than arcs.
@@ -250,6 +259,39 @@ def solve(problem: TransportProblem) -> TransportPlan:
     return TransportPlan(flows=mass_flows, objective=objective)
 
 
+def _nearest_plan(problem: TransportProblem) -> TransportPlan | None:
+    """The plan sending each source whole to a closest sink, when it is optimal.
+
+    Ties between closest sinks are broken as merge-nearest breaks them: the
+    sink whose labels have the larger count on the source side (0 where that
+    side lacks them), then the first sink.  Returns ``None`` unless both sides
+    have the same trace total, every used arc costs exactly its row's minimum,
+    and the counts sent into each sink equal its count.  Flows and objective
+    are built as ``solve`` builds them.
+    """
+    n_source, n_sink = sum(problem.source_counts), sum(problem.sink_counts)
+    if n_source != n_sink:
+        return None
+    cost = problem.cost
+    source_count = dict(zip(problem.source_variants, problem.source_counts))
+    weight = np.array([source_count.get(v, 0) for v in problem.sink_variants])
+    best = closest_columns(cost, weight)
+    if not np.array_equal(cost[np.arange(len(best)), best], cost.min(axis=1)):
+        return None
+    best = best.tolist()
+    into = [0] * len(problem.sink_counts)
+    for j, c in zip(best, problem.source_counts):
+        into[j] += c
+    if into != list(problem.sink_counts):
+        return None
+
+    unit = 1.0 / (n_source * n_sink)
+    flows = {(i, j): (c * n_sink) * unit
+             for i, (j, c) in enumerate(zip(best, problem.source_counts))}
+    objective = float(sum(f * cost[i, j] for (i, j), f in flows.items()))
+    return TransportPlan(flows=flows, objective=objective)
+
+
 def utility_report(plan: TransportPlan) -> UtilityReport:
     """Read an optimal plan's objective as utility loss in [0, 1].
 
@@ -257,7 +299,7 @@ def utility_report(plan: TransportPlan) -> UtilityReport:
     within it, the loss is clamped so ``du = 1 - ul`` stays in range.
     """
     ul = plan.objective
-    if ul < -_MASS_TOL or ul > 1.0 + _MASS_TOL:
+    if ul < -_UL_TOL or ul > 1.0 + _UL_TOL:
         raise SolverError(f"utility loss {ul!r} escaped [0, 1]")
     ul = min(max(ul, 0.0), 1.0)
     return UtilityReport(ul=ul, du=1.0 - ul, plan=plan)
@@ -267,7 +309,9 @@ def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
     """Utility loss and preserved data utility between two logs.
 
     Logs with the same labelled variants and counts lose nothing: the
-    identity plan is returned without building the cost matrix.
+    identity plan is returned without building the cost matrix.  Otherwise
+    the nearest-sink plan is taken when its checks certify it (always after
+    merge-nearest anonymization), and the simplex solves the rest.
     """
     if original == anonymized:
         sink = {anonymized.variant_labels(v): j for j, v in enumerate(anonymized.variants)}
@@ -276,7 +320,8 @@ def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
             for i, (v, c) in enumerate(zip(original.variants, original.counts))
         }
         return UtilityReport(ul=0.0, du=1.0, plan=TransportPlan(flows=flows, objective=0.0))
-    return utility_report(solve(build_problem(original, anonymized)))
+    problem = build_problem(original, anonymized)
+    return utility_report(_nearest_plan(problem) or solve(problem))
 
 
 def write_plan_csv(problem: TransportProblem, plan: TransportPlan, out: TextIO) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from logprivacy import SolverError, cli
+from logprivacy import SolverError, cli, utility
 from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_USAGE, main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -263,6 +263,27 @@ class TestSweep:
         assert records[2] == {"k": 2, "error": "optimal plan violates marginal conservation"}
         assert records[1]["du"] == 1.0
         assert records[1]["anonymized"]["n_traces"] == 100
+
+    def test_merge_nearest_sweep_needs_no_simplex(self, capsys, ex3_files, monkeypatch):
+        def failing_solve(problem):
+            raise SolverError("no optimality certificate after 7 pivots (4x2 problem)")
+
+        monkeypatch.setattr(utility, "solve", failing_solve)
+        original, _ = ex3_files
+        argv = ["sweep", str(original), "--k-values", "1,2", "--types", "set", "--sizes", "1"]
+        # k=2 merges each single-trace variant into the 49-trace variant a
+        # quarter away
+        code, report = run_json(capsys, argv + ["--strategy", "merge-nearest"])
+        assert code == EXIT_OK
+        records = {r["k"]: r for r in report["results"]["records"]}
+        assert records[1]["ul"] == 0.0
+        assert records[2]["ul"] == pytest.approx(0.005, abs=1e-15)
+        # suppression changes the trace total, so the simplex runs and fails
+        code, report = run_json(capsys, argv + ["--strategy", "suppress"])
+        assert code == EXIT_SOLVER
+        records = {r["k"]: r for r in report["results"]["records"]}
+        assert records[2] == {"k": 2, "error": "no optimality certificate after 7 pivots (4x2 problem)"}
+        assert records[1]["du"] == 1.0
 
     def test_records_ordered_by_k(self, capsys, ex2_l2_csv):
         code, report = run_json(

@@ -172,3 +172,17 @@ class TestKernelAgainstTableOracle:
         assert np.array_equal(expected, table_distance_matrix(rows, cols))
         monkeypatch.setattr(distance, "_SLAB_WORDS", 1)
         assert np.array_equal(distance_matrix(rows, cols), expected)
+
+
+class TestClosestColumns:
+    @pytest.mark.parametrize(
+        "weight,expected",
+        [
+            ([9, 0, 0], 1),  # a weight of 0 still picks among the closest
+            ([9, 0, 3], 2),  # the larger weight wins a distance tie
+            ([9, 3, 3], 1),  # and the first column a weight tie too
+        ],
+    )
+    def test_tie_rule(self, weight, expected):
+        cost = np.array([[1.0, 0.5, 0.5], [0.0, 0.5, 0.5]])
+        assert distance.closest_columns(cost, np.array(weight)).tolist() == [expected, 0]

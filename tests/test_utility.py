@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from logprivacy import (
+    AnonymizationConfig,
     EventLog,
     InputError,
     SolverError,
+    Strategy,
     build_problem,
     data_utility,
+    k_anonymize,
     solve,
     write_plan_csv,
 )
@@ -21,6 +24,7 @@ from oracles import (
     greedy_feasible_objective,
     lp_min_cost,
     markov_log_pair,
+    nearest_merge_objective,
     random_log,
     table_edit_distance,
 )
@@ -263,6 +267,66 @@ class TestDataUtility:
             report = data_utility(a, b)
             assert 0.0 <= report.ul <= 1.0
             assert 0.0 <= report.du <= 1.0
+
+
+# Heavy variants with repeated counts; every other variant occurs once.
+TIE_HEAD = (48, 48, 32, 32, 32, 24, 16, 16, 16, 8, 8, 8, 8, 4, 4, 4, 2, 2, 2, 2)
+
+
+def tie_heavy_log(seed: int, n_variants: int = 300) -> EventLog:
+    """Short traces over four activities, so many distances tie exactly."""
+    rng = random.Random(seed)
+    traces = set()
+    while len(traces) < n_variants:
+        traces.add(tuple(rng.choice("abcd") for _ in range(rng.randint(2, 8))))
+    traces = sorted(traces)
+    rng.shuffle(traces)
+    counts = list(TIE_HEAD) + [1] * (n_variants - len(TIE_HEAD))
+    return EventLog.from_counts(dict(zip(traces, counts)))
+
+
+def first_tie_plan_fits(problem: TransportProblem) -> bool:
+    """Whether sending each source to its first closest sink meets the sink counts."""
+    into = [0] * len(problem.sink_counts)
+    for j, c in zip(problem.cost.argmin(axis=1).tolist(), problem.source_counts):
+        into[j] += c
+    return into == list(problem.sink_counts)
+
+
+class TestNearestPlan:
+    def test_closed_form_is_an_oracle_for_the_simplex(self):
+        first_tie_misses = 0
+        for seed in (1, 2):
+            log = tie_heavy_log(seed)
+            for k in (2, 4, 8, 16, 32):
+                anonymized = k_anonymize(log, AnonymizationConfig(k, Strategy.MERGE_NEAREST))
+                problem = build_problem(log, anonymized)
+                assert utility._nearest_plan(problem) is not None
+                report = data_utility(log, anonymized)
+                assert report.ul == pytest.approx(nearest_merge_objective(log, anonymized), abs=1e-12)
+                assert report.ul == solve(problem).objective
+                first_tie_misses += not first_tie_plan_fits(problem)
+        # the count tie-break decides some of these plans
+        assert first_tie_misses > 0
+
+    def test_suppress_pair_falls_back(self):
+        log = tie_heavy_log(3, n_variants=60)
+        anonymized = k_anonymize(log, AnonymizationConfig(4, Strategy.SUPPRESS))
+        assert utility._nearest_plan(build_problem(log, anonymized)) is None
+
+    def test_missed_sink_count_falls_back(self, monkeypatch):
+        # ("b",) is 1 from both sinks and goes to ("a",), which then holds
+        # four traces instead of three.
+        original = EventLog.from_counts({("a",): 2, ("b",): 2})
+        anonymized = EventLog.from_counts({("a",): 3, ("c",): 1})
+        problem = build_problem(original, anonymized)
+        assert utility._nearest_plan(problem) is None
+        solves = []
+        monkeypatch.setattr(utility, "solve", lambda p: solves.append(p) or solve(p))
+        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
+        assert data_utility(original, anonymized).ul == pytest.approx(oracle, abs=1e-12)
+        assert oracle == pytest.approx(0.5, abs=1e-12)
+        assert len(solves) == 1
 
 
 class TestPlanExport:
