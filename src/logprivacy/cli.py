@@ -3,10 +3,10 @@
 Every command emits a JSON report (key-sorted, schema-stable) wrapping the
 command's payload together with content digests of the inputs and wall-clock
 timings per phase; ``--table`` renders a human summary instead.  Exit codes:
-0 success, 1 usage, 2 input problem, 3 candidate-cap resource limit,
-4 solver failure.  When only some grid cells or sweep points fail, the
-report still carries the successful ones and the exit code reflects the
-most severe failure category.
+0 success, 1 usage, 2 input problem or unwritable output path,
+3 candidate-cap resource limit, 4 solver failure.  When only some grid cells
+or sweep points fail, the report still carries the successful ones and the
+exit code reflects the most severe failure category.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _exit_code(exc: Exception) -> int:
-    """The exit code for a package error or a ``ValueError``."""
+    """The exit code for a package error, a ``ValueError`` or an ``OSError``."""
     if isinstance(exc, CandidateLimitError):
         return EXIT_RESOURCE
     if isinstance(exc, SolverError):
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LogPrivacyError, ValueError) as exc:
+    except (LogPrivacyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
 

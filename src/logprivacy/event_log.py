@@ -99,6 +99,8 @@ class EventLog:
             raise ValueError("labels must be exactly the activities used by the variants")
         if any(not lab for lab in labels):
             raise ValueError("activity labels must be non-empty")
+        if len(set(labels)) != len(labels):
+            raise ValueError("activity labels must be distinct")
         order = sorted(range(len(variants)), key=lambda i: variants[i])
         svariants = tuple(tuple(variants[i]) for i in order)
         if len(set(svariants)) != len(svariants):

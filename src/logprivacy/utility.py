@@ -5,24 +5,21 @@ compared with a balanced transportation problem whose ground cost is the
 normalized edit distance between variants.  The minimal reallocation cost is
 the utility loss ``ul``; data utility is ``du = 1 - ul``.
 
-Every plan returned comes with a certificate of optimality, from one of three
-paths.  Equal logs get the identity plan, at cost 0.  When both logs have the
-same trace total and sending each source variant whole to a closest sink
-variant meets every sink's count exactly, as merge-nearest anonymization
-does, that plan is taken: each flow sits on its row's least cost, so the duals
-u_i = min_j cost[i, j], v_j = 0 are feasible and price the plan at its own
-cost (the relaxed-EMD bound of Kusner et al. 2015 is then exact).  Otherwise
-``solve`` runs.
-
-The solve is a primal network simplex on the bipartite graph plus an
-artificial root.  It starts from a strongly feasible star tree, prices arcs in
-row blocks and picks leaving arcs by Cunningham's rule, so the many degenerate
-pivots that tied edit distances cause can neither cycle nor stall.  The
-marginals are trace counts, cross-scaled by the other log's total so both sides
-carry the same integer mass and the flow arithmetic is exact; floating point
-enters only through costs and potentials.  A plan is returned only with its
-certificate: a full pricing pass finds no negative reduced cost, no flow is
-left on an artificial arc, and the flows reproduce both marginals exactly.
+Every plan returned comes with a certificate of optimality.  ``data_utility``
+gives equal logs the identity plan, at cost 0, without a cost matrix.
+``solve`` first tries sending each source variant whole to a closest sink
+variant, as merge-nearest anonymization does: when that meets every sink's
+count, each flow sits on its row's least cost, so the duals
+u_i = min_j cost[i, j], v_j = 0 certify it (the relaxed-EMD bound of Kusner
+et al. 2015 is then exact).  Otherwise a primal network simplex runs on the
+bipartite graph plus an artificial root.  It starts from a strongly feasible
+star tree, prices arcs in row blocks and picks leaving arcs by Cunningham's
+rule, so the many degenerate pivots that tied edit distances cause can neither
+cycle nor stall; its certificate is a full pricing pass with no negative
+reduced cost and no flow left on an artificial arc.  The marginals are trace
+counts, cross-scaled by the other log's total so both sides carry the same
+integer mass; both paths' integer flows must reproduce them exactly, and
+floating point enters only through costs, potentials and the final masses.
 """
 
 from __future__ import annotations
@@ -54,9 +51,9 @@ class TransportProblem:
 
     Sources are the original log's variants (canonical order) with their
     trace counts, sinks the anonymized log's.  Each side's distribution is its
-    counts over their sum (``source_masses``, ``sink_masses``); the two sides
-    may have different totals.  ``cost`` is oriented sources x sinks, i.e.
-    transposed relative to a tableau whose rows are the anonymized variants.
+    counts over their sum; the two sides may have different totals.  ``cost``
+    is oriented sources x sinks, i.e. transposed relative to a tableau whose
+    rows are the anonymized variants.
     """
 
     source_variants: tuple[LabelTrace, ...]
@@ -74,22 +71,13 @@ class TransportProblem:
                 raise InputError(f"{side} counts must all be positive integers")
             # Python ints, so the cross-scaled amounts in ``solve`` cannot overflow.
             object.__setattr__(self, f"{side}_counts", tuple(int(c) for c in counts))
+        object.__setattr__(self, "cost", np.asarray(self.cost, dtype=np.float64))
         if self.cost.shape != (m, n):
             raise ValueError(f"cost matrix shape {self.cost.shape} != ({m}, {n})")
         if m == 0 or n == 0:
             raise ValueError("a transport problem needs at least one source and one sink")
         if not np.all(np.isfinite(self.cost)) or self.cost.min() < 0.0 or self.cost.max() > 1.0:
             raise ValueError("cost entries must lie in [0, 1]")
-
-    @property
-    def source_masses(self) -> tuple[float, ...]:
-        total = sum(self.source_counts)
-        return tuple(c / total for c in self.source_counts)
-
-    @property
-    def sink_masses(self) -> tuple[float, ...]:
-        total = sum(self.sink_counts)
-        return tuple(c / total for c in self.sink_counts)
 
 
 @dataclass(frozen=True)
@@ -127,25 +115,75 @@ def build_problem(original: EventLog, anonymized: EventLog) -> TransportProblem:
 def solve(problem: TransportProblem) -> TransportPlan:
     """Solve the problem exactly; never returns an uncertified plan.
 
-    Source ``i`` supplies ``source_counts[i]`` times the sink total and sink
-    ``j`` demands ``sink_counts[j]`` times the source total, so both sides sum
-    to the product of the totals; a unit of flow is that product's inverse in
-    mass.  Each source starts with an arc to the root and the root with an arc
-    to each sink, carrying the full amounts at a cost no optimum pays, so every
-    tree arc pointing away from the root carries positive flow (the tree is
-    strongly feasible).  The entering arc is the most negative reduced cost in
-    the next row block of about sqrt(m*n) arcs; the leaving arc is the last
-    blocking arc on the cycle counted from its join node (Cunningham 1976),
-    which keeps the tree strongly feasible.  Only the subtree cut off by the
-    leaving arc gets new potentials and depths.  The solve stops when a full
-    pass over the blocks finds no reduced cost below ``-_REDUCED_COST_TOL``.
+    The nearest-sink plan is taken when it is certified (always after
+    merge-nearest anonymization); otherwise the network simplex solves.
     """
-    cost = np.asarray(problem.cost, dtype=np.float64)
+    return _nearest_plan(problem) or _simplex(problem)
+
+
+def _plan(problem: TransportProblem, flows: list) -> TransportPlan | None:
+    """The plan of sorted integer flows ``((i, j), units)``, or ``None`` off the marginals.
+
+    Source ``i`` supplies ``source_counts[i]`` times the sink total and sink
+    ``j`` demands ``sink_counts[j]`` times the source total, both exactly; a
+    unit of flow carries ``1 / (n_source * n_sink)`` of mass.
+    """
+    n_source, n_sink = sum(problem.source_counts), sum(problem.sink_counts)
+    row_sums = [0] * len(problem.source_counts)
+    col_sums = [0] * len(problem.sink_counts)
+    for (i, j), f in flows:
+        row_sums[i] += f
+        col_sums[j] += f
+    if (row_sums != [c * n_sink for c in problem.source_counts]
+            or col_sums != [c * n_source for c in problem.sink_counts]):
+        return None
+    unit = 1.0 / (n_source * n_sink)
+    mass_flows = {ij: f * unit for ij, f in flows}
+    objective = float(sum(f * problem.cost[i, j] for (i, j), f in mass_flows.items()))
+    return TransportPlan(flows=mass_flows, objective=objective)
+
+
+def _nearest_plan(problem: TransportProblem) -> TransportPlan | None:
+    """The plan sending each source whole to a closest sink, when it is optimal.
+
+    Ties between closest sinks are broken as merge-nearest breaks them: the
+    sink whose labels have the larger count on the source side (0 where that
+    side lacks them), then the first sink.  Returns ``None`` unless both sides
+    have the same trace total, every used arc costs exactly its row's minimum,
+    and ``_plan`` finds the counts sent into each sink equal to its count.
+    """
+    n_sink = sum(problem.sink_counts)
+    if sum(problem.source_counts) != n_sink:
+        return None
+    cost = problem.cost
+    source_count = dict(zip(problem.source_variants, problem.source_counts))
+    weight = np.array([source_count.get(v, 0) for v in problem.sink_variants])
+    best = closest_columns(cost, weight)
+    if not np.array_equal(cost[np.arange(len(best)), best], cost.min(axis=1)):
+        return None
+    return _plan(problem, [((i, j), c * n_sink)
+                           for i, (j, c) in enumerate(zip(best.tolist(), problem.source_counts))])
+
+
+def _simplex(problem: TransportProblem) -> TransportPlan:
+    """A certified optimal plan by network simplex, or ``SolverError``.
+
+    Supplies and demands are the amounts ``_plan`` checks.  Each source starts
+    with an arc to the root and the root with an arc to each sink, carrying
+    the full amounts at a cost no optimum pays, so every tree arc pointing
+    away from the root carries positive flow (the tree is strongly feasible).
+    The entering arc is the most negative reduced cost in the next row block
+    of about sqrt(m*n) arcs; the leaving arc is the last blocking arc on the
+    cycle counted from its join node (Cunningham 1976), which keeps the tree
+    strongly feasible.  Only the subtree cut off by the leaving arc gets new
+    potentials and depths.  The solve stops when a full pass over the blocks
+    finds no reduced cost below ``-_REDUCED_COST_TOL``.
+    """
+    cost = problem.cost
     m, n = cost.shape
     n_source, n_sink = sum(problem.source_counts), sum(problem.sink_counts)
     supply = [c * n_sink for c in problem.source_counts]
     demand = [c * n_source for c in problem.sink_counts]
-    unit = 1.0 / (n_source * n_sink)
 
     # Nodes: sources 0..m-1, sinks m..m+n-1, the root m+n.  Every arc runs
     # from a source or the root to a sink or the root, so a node's tree arc
@@ -241,55 +279,14 @@ def solve(problem: TransportProblem) -> TransportPlan:
 
     if any(flow[v] for v in children[root]):
         raise SolverError("optimal plan leaves mass on an artificial arc")
-    flows = sorted(
+    plan = _plan(problem, sorted(
         ((v, u - m) if v < m else (u, v - m), flow[v])
         for v, u in enumerate(parent[:root])
         if u != root and flow[v] > 0
-    )
-    row_sums = [0] * m
-    col_sums = [0] * n
-    for (i, j), f in flows:
-        row_sums[i] += f
-        col_sums[j] += f
-    if row_sums != supply or col_sums != demand:
+    ))
+    if plan is None:
         raise SolverError("optimal plan violates marginal conservation")
-
-    mass_flows = {ij: f * unit for ij, f in flows}
-    objective = float(sum(f * cost[i, j] for (i, j), f in mass_flows.items()))
-    return TransportPlan(flows=mass_flows, objective=objective)
-
-
-def _nearest_plan(problem: TransportProblem) -> TransportPlan | None:
-    """The plan sending each source whole to a closest sink, when it is optimal.
-
-    Ties between closest sinks are broken as merge-nearest breaks them: the
-    sink whose labels have the larger count on the source side (0 where that
-    side lacks them), then the first sink.  Returns ``None`` unless both sides
-    have the same trace total, every used arc costs exactly its row's minimum,
-    and the counts sent into each sink equal its count.  Flows and objective
-    are built as ``solve`` builds them.
-    """
-    n_source, n_sink = sum(problem.source_counts), sum(problem.sink_counts)
-    if n_source != n_sink:
-        return None
-    cost = problem.cost
-    source_count = dict(zip(problem.source_variants, problem.source_counts))
-    weight = np.array([source_count.get(v, 0) for v in problem.sink_variants])
-    best = closest_columns(cost, weight)
-    if not np.array_equal(cost[np.arange(len(best)), best], cost.min(axis=1)):
-        return None
-    best = best.tolist()
-    into = [0] * len(problem.sink_counts)
-    for j, c in zip(best, problem.source_counts):
-        into[j] += c
-    if into != list(problem.sink_counts):
-        return None
-
-    unit = 1.0 / (n_source * n_sink)
-    flows = {(i, j): (c * n_sink) * unit
-             for i, (j, c) in enumerate(zip(best, problem.source_counts))}
-    objective = float(sum(f * cost[i, j] for (i, j), f in flows.items()))
-    return TransportPlan(flows=flows, objective=objective)
+    return plan
 
 
 def utility_report(plan: TransportPlan) -> UtilityReport:
@@ -310,8 +307,7 @@ def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
 
     Logs with the same labelled variants and counts lose nothing: the
     identity plan is returned without building the cost matrix.  Otherwise
-    the nearest-sink plan is taken when its checks certify it (always after
-    merge-nearest anonymization), and the simplex solves the rest.
+    ``solve`` takes the problem.
     """
     if original == anonymized:
         sink = {anonymized.variant_labels(v): j for j, v in enumerate(anonymized.variants)}
@@ -320,8 +316,7 @@ def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
             for i, (v, c) in enumerate(zip(original.variants, original.counts))
         }
         return UtilityReport(ul=0.0, du=1.0, plan=TransportPlan(flows=flows, objective=0.0))
-    problem = build_problem(original, anonymized)
-    return utility_report(_nearest_plan(problem) or solve(problem))
+    return utility_report(solve(build_problem(original, anonymized)))
 
 
 def write_plan_csv(problem: TransportProblem, plan: TransportPlan, out: TextIO) -> None:

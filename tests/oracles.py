@@ -147,8 +147,16 @@ def naive_trace_disclosure(log: EventLog, kind: str, size: int) -> float:
 # -- exact transport oracle ----------------------------------------------------
 
 
-def lp_min_cost(supply, demand, cost) -> float:
-    """Minimal transport cost via a generic LP solver (HiGHS)."""
+def frequencies(counts) -> list[float]:
+    """Counts over their sum: one side's mass per variant."""
+    total = sum(counts)
+    return [c / total for c in counts]
+
+
+def lp_min_cost(supply_counts, demand_counts, cost) -> float:
+    """Minimal transport cost between two count vectors' frequencies via a
+    generic LP solver (HiGHS)."""
+    supply, demand = frequencies(supply_counts), frequencies(demand_counts)
     cost = np.asarray(cost, dtype=np.float64)
     m, n = cost.shape
     # Row i of the constraints sums flow variable i*n + j over j; row m + j
@@ -178,11 +186,12 @@ def nearest_merge_objective(original: EventLog, anonymized: EventLog) -> float:
     return sum(c * min(d[i]) for i, c in enumerate(original.counts)) / original.total_traces
 
 
-def greedy_feasible_objective(supply, demand, cost) -> float:
-    """Cost of the northwest-corner feasible plan; an upper bound on optimal."""
+def greedy_feasible_objective(supply_counts, demand_counts, cost) -> float:
+    """Cost of the northwest-corner feasible plan between two count vectors'
+    frequencies; an upper bound on optimal."""
     cost = np.asarray(cost, dtype=np.float64)
-    s = list(supply)
-    d = list(demand)
+    s = frequencies(supply_counts)
+    d = frequencies(demand_counts)
     i = j = 0
     total = 0.0
     while i < len(s) and j < len(d):

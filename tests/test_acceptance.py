@@ -31,8 +31,10 @@ from logprivacy import (
     solve,
     stats,
     trace_disclosure,
+    utility,
 )
 from oracles import (
+    frequencies,
     lp_min_cost,
     naive_candidate_index,
     random_balanced_problem,
@@ -124,9 +126,10 @@ def test_c03_third_worked_example_golden():
     assert normalized_distance(enc("aebd"), enc("acbd")) == 0.25
 
     problem = build_problem(original, anonymized)
-    plan = solve(problem)
-    oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
-    assert plan.objective == pytest.approx(oracle, abs=1e-9)
+    oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
+    # solve takes the nearest-sink plan here; the simplex must agree
+    for solver in (solve, utility._simplex):
+        assert solver(problem).objective == pytest.approx(oracle, abs=1e-9)
 
     report = data_utility(original, anonymized)
     assert report.ul == pytest.approx(0.245, abs=1e-9)
@@ -206,17 +209,20 @@ def test_c08_solver_equals_lp_oracle_on_200_random_problems():
     rng = random.Random(88_88)
     for _ in range(200):
         problem = count_problem(*random_balanced_problem(rng, max_side=10))
-        supply, demand, cost = problem.source_masses, problem.sink_masses, problem.cost
-        plan = solve(problem)
-        assert plan.objective == pytest.approx(lp_min_cost(supply, demand, cost), abs=1e-6)
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
+        supply, demand = frequencies(problem.source_counts), frequencies(problem.sink_counts)
         m, n = problem.cost.shape
-        row = [0.0] * m
-        col = [0.0] * n
-        for (i, j), f in plan.flows.items():
-            row[i] += f
-            col[j] += f
-        assert all(abs(row[i] - supply[i]) <= 1e-9 for i in range(m))
-        assert all(abs(col[j] - demand[j]) <= 1e-9 for j in range(n))
+        # solve, and the simplex alone: solve certifies some of these in closed form
+        for solver in (solve, utility._simplex):
+            plan = solver(problem)
+            assert plan.objective == pytest.approx(oracle, abs=1e-6)
+            row = [0.0] * m
+            col = [0.0] * n
+            for (i, j), f in plan.flows.items():
+                row[i] += f
+                col[j] += f
+            assert all(abs(row[i] - supply[i]) <= 1e-9 for i in range(m))
+            assert all(abs(col[j] - demand[j]) <= 1e-9 for j in range(n))
 
 
 def test_c09_property_suite():

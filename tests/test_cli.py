@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from logprivacy import SolverError, cli, utility
+from logprivacy import AnonymizationConfig, EventLog, SolverError, Strategy, cli, k_anonymize, utility
 from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_USAGE, main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -172,6 +172,18 @@ class TestRisk:
         assert content[0] == "candidate,cardinality"
         assert len(content) == 9
 
+    def test_dump_onto_a_file_is_an_input_error(self, capsys, ex2_l2_csv, tmp_path):
+        dump = tmp_path / "dump"
+        dump.write_text("not a directory\n")
+        code = main(
+            ["risk", str(ex2_l2_csv), "--types", "set", "--sizes", "1", "--dump-candidates", str(dump)]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(dump) in captured.err
+
 
 class TestUtility:
     def test_example3_values(self, capsys, ex3_files):
@@ -199,6 +211,33 @@ class TestUtility:
         lines = plan_path.read_text().strip().splitlines()
         assert lines[0] == "source,sink,mass,cost"
         assert len(lines) >= 4
+
+    def test_unwritable_plan_path_is_an_input_error(self, capsys, ex3_files, tmp_path):
+        original, anonymized = ex3_files
+        plan_path = tmp_path / "missing" / "plan.csv"
+        code = main(["utility", str(original), str(anonymized), "--plan-out", str(plan_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(plan_path) in captured.err
+
+    def test_merge_nearest_pair_needs_no_simplex(self, capsys, ex3_files, tmp_path, monkeypatch):
+        # the first pivot exceeds a zero pivot budget, so any simplex run fails
+        monkeypatch.setattr(utility, "_PIVOTS_PER_ARC", 0)
+        original, _ = ex3_files
+        merged = k_anonymize(
+            EventLog.from_counts(EX3_ORIGINAL), AnonymizationConfig(2, Strategy.MERGE_NEAREST)
+        )
+        merged_path = write_log_csv(
+            tmp_path / "merged.csv",
+            {merged.variant_labels(v): c for v, c in zip(merged.variants, merged.counts)},
+        )
+        code, report = run_json(capsys, ["utility", str(original), str(merged_path)])
+        assert code == EXIT_OK
+        # each single-trace variant moves a quarter, to a 49-trace variant
+        assert report["results"]["ul"] == pytest.approx(0.005, abs=1e-15)
+        assert report["results"]["n_flows"] == 4
 
     def test_solver_failure_exits_with_solver_code(self, capsys, ex3_files, monkeypatch):
         def failing_solve(problem):
@@ -265,10 +304,8 @@ class TestSweep:
         assert records[1]["anonymized"]["n_traces"] == 100
 
     def test_merge_nearest_sweep_needs_no_simplex(self, capsys, ex3_files, monkeypatch):
-        def failing_solve(problem):
-            raise SolverError("no optimality certificate after 7 pivots (4x2 problem)")
-
-        monkeypatch.setattr(utility, "solve", failing_solve)
+        # the first pivot exceeds a zero pivot budget, so any simplex run fails
+        monkeypatch.setattr(utility, "_PIVOTS_PER_ARC", 0)
         original, _ = ex3_files
         argv = ["sweep", str(original), "--k-values", "1,2", "--types", "set", "--sizes", "1"]
         # k=2 merges each single-trace variant into the 49-trace variant a
@@ -282,7 +319,7 @@ class TestSweep:
         code, report = run_json(capsys, argv + ["--strategy", "suppress"])
         assert code == EXIT_SOLVER
         records = {r["k"]: r for r in report["results"]["records"]}
-        assert records[2] == {"k": 2, "error": "no optimality certificate after 7 pivots (4x2 problem)"}
+        assert records[2] == {"k": 2, "error": "no optimality certificate after 0 pivots (4x2 problem)"}
         assert records[1]["du"] == 1.0
 
     def test_records_ordered_by_k(self, capsys, ex2_l2_csv):

@@ -200,6 +200,10 @@ class TestEventLogInvariants:
         with pytest.raises(ValueError):
             EventLog.from_counts({("a",): 0})
 
+    def test_rejects_duplicate_labels(self):
+        with pytest.raises(ValueError, match="distinct"):
+            EventLog([(0,), (1,)], [1, 3], ["a", "a"])
+
     def test_alphabet_is_exactly_used_activities(self):
         log = EventLog.from_counts({("b", "a"): 2})
         assert log.labels == ("a", "b")

@@ -21,6 +21,7 @@ from logprivacy import (
 from logprivacy import utility
 from logprivacy.utility import TransportPlan, TransportProblem, utility_report
 from oracles import (
+    frequencies,
     greedy_feasible_objective,
     lp_min_cost,
     markov_log_pair,
@@ -28,6 +29,11 @@ from oracles import (
     random_log,
     table_edit_distance,
 )
+
+# The network simplex alone, without the nearest-sink plan that ``solve``
+# tries first.
+simplex = utility._simplex
+SOLVERS = (solve, simplex)
 
 
 def count_problem(supply_counts, demand_counts, cost) -> TransportProblem:
@@ -61,10 +67,10 @@ class TestBuildProblem:
         assert by_variant[(aebd, acbd)] == 0.25
         assert by_variant[(aebd, abcd)] == 0.5
 
-    def test_masses_are_exact_frequencies(self, example3_original, example3_anonymized):
+    def test_counts_are_the_logs_trace_counts(self, example3_original, example3_anonymized):
         problem = build_problem(example3_original, example3_anonymized)
-        assert sorted(problem.source_masses) == [0.01, 0.01, 0.49, 0.49]
-        assert list(problem.sink_masses) == [0.5, 0.5]
+        assert sorted(problem.source_counts) == [1, 1, 49, 49]
+        assert problem.sink_counts == (50, 50)
 
     def test_self_problem_has_zero_diagonal(self, example1_log):
         problem = build_problem(example1_log, example1_log)
@@ -81,16 +87,18 @@ class TestBuildProblem:
 class TestSolve:
     def test_example_objective(self, example3_original, example3_anonymized):
         problem = build_problem(example3_original, example3_anonymized)
-        plan = solve(problem)
-        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
-        assert plan.objective == pytest.approx(oracle, abs=1e-9)
-        assert plan.objective == pytest.approx(0.245, abs=1e-12)
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
+        for solver in SOLVERS:
+            plan = solver(problem)
+            assert plan.objective == pytest.approx(oracle, abs=1e-9)
+            assert plan.objective == pytest.approx(0.245, abs=1e-12)
 
     def test_identity_logs_have_zero_objective(self, example1_log):
-        plan = solve(build_problem(example1_log, example1_log))
-        assert plan.objective == 0.0
-        positive = {k: v for k, v in plan.flows.items() if v > 0}
-        assert all(i == j for i, j in positive)
+        for solver in SOLVERS:
+            plan = solver(build_problem(example1_log, example1_log))
+            assert plan.objective == 0.0
+            positive = {k: v for k, v in plan.flows.items() if v > 0}
+            assert all(i == j for i, j in positive)
 
     def test_plan_is_basic_and_conservative(self):
         rng = random.Random(99)
@@ -98,20 +106,23 @@ class TestSolve:
             original = random_log(rng, max_variants=8)
             anonymized = random_log(rng, max_variants=8)
             problem = build_problem(original, anonymized)
-            plan = solve(problem)
+            supply = frequencies(problem.source_counts)
+            demand = frequencies(problem.sink_counts)
             m, n = problem.cost.shape
-            assert len(plan.flows) <= m + n - 1
-            assert all(f > 0 for f in plan.flows.values())
-            row = [0.0] * m
-            col = [0.0] * n
-            for (i, j), f in plan.flows.items():
-                row[i] += f
-                col[j] += f
-            assert all(abs(row[i] - problem.source_masses[i]) <= 1e-9 for i in range(m))
-            assert all(abs(col[j] - problem.sink_masses[j]) <= 1e-9 for j in range(n))
-            # objective equals its own recomputation from flows and costs
-            recomputed = sum(f * problem.cost[i, j] for (i, j), f in plan.flows.items())
-            assert plan.objective == pytest.approx(recomputed, abs=1e-12)
+            for solver in SOLVERS:
+                plan = solver(problem)
+                assert len(plan.flows) <= m + n - 1
+                assert all(f > 0 for f in plan.flows.values())
+                row = [0.0] * m
+                col = [0.0] * n
+                for (i, j), f in plan.flows.items():
+                    row[i] += f
+                    col[j] += f
+                assert all(abs(row[i] - supply[i]) <= 1e-9 for i in range(m))
+                assert all(abs(col[j] - demand[j]) <= 1e-9 for j in range(n))
+                # objective equals its own recomputation from flows and costs
+                recomputed = sum(f * problem.cost[i, j] for (i, j), f in plan.flows.items())
+                assert plan.objective == pytest.approx(recomputed, abs=1e-12)
 
     def test_matches_generic_lp_on_random_problems(self):
         rng = random.Random(4242)
@@ -119,9 +130,9 @@ class TestSolve:
 
         for _ in range(60):
             problem = count_problem(*random_balanced_problem(rng))
-            plan = solve(problem)
-            oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
-            assert plan.objective == pytest.approx(oracle, abs=1e-6)
+            oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
+            for solver in SOLVERS:
+                assert solver(problem).objective == pytest.approx(oracle, abs=1e-6)
 
     def test_never_beats_feasible_greedy_plan(self):
         rng = random.Random(17)
@@ -129,11 +140,11 @@ class TestSolve:
 
         for _ in range(40):
             problem = count_problem(*random_balanced_problem(rng, max_side=7))
-            plan = solve(problem)
             bound = greedy_feasible_objective(
-                problem.source_masses, problem.sink_masses, problem.cost
+                problem.source_counts, problem.sink_counts, problem.cost
             )
-            assert plan.objective <= bound + 1e-9
+            for solver in SOLVERS:
+                assert solver(problem).objective <= bound + 1e-9
 
     def test_nonpositive_mass_is_an_input_error(self):
         cost = [[0.1, 0.2], [0.3, 0.4]]
@@ -166,8 +177,8 @@ class TestSolverStress:
         demand_counts = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         cost = [[round(rng.random(), 4) for _ in range(n)] for _ in range(m)]
         problem = count_problem(supply_counts, demand_counts, cost)
-        plan = solve(problem)
-        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, cost)
+        plan = simplex(problem)
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, cost)
         assert plan.objective == pytest.approx(oracle, abs=1e-9)
 
     def test_degenerate_equal_masses_terminate_and_match(self):
@@ -175,8 +186,8 @@ class TestSolverStress:
         m = n = 40
         cost = [[(abs(i - j) % 5) / 5.0 for j in range(n)] for i in range(m)]
         problem = count_problem([1] * m, [1] * n, cost)
-        plan = solve(problem)
-        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, cost)
+        plan = simplex(problem)
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, cost)
         assert plan.objective == pytest.approx(oracle, abs=1e-9)
 
     @pytest.mark.parametrize(
@@ -188,8 +199,8 @@ class TestSolverStress:
         # distinct values.  The 800-trace pair is about 680x660.
         original, anonymized = markov_log_pair(seed, n_traces)
         problem = build_problem(original, anonymized)
-        plan = solve(problem)
-        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
+        plan = simplex(problem)
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
         assert plan.objective == pytest.approx(oracle, abs=1e-9)
         # HiGHS is fed the same cost matrix, so check its entries separately:
         # every entry in the rows of the three longest source traces that
@@ -207,8 +218,8 @@ class TestSolverStress:
 
     def test_solve_is_deterministic(self):
         cost = [[0.2, 0.8], [0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]
-        first = solve(count_problem([1] * 4, [1, 1], cost))
-        second = solve(count_problem([1] * 4, [1, 1], cost))
+        first = simplex(count_problem([1] * 4, [1, 1], cost))
+        second = simplex(count_problem([1] * 4, [1, 1], cost))
         assert first.flows == second.flows
         assert first.objective == second.objective
 
@@ -304,7 +315,7 @@ class TestNearestPlan:
                 assert utility._nearest_plan(problem) is not None
                 report = data_utility(log, anonymized)
                 assert report.ul == pytest.approx(nearest_merge_objective(log, anonymized), abs=1e-12)
-                assert report.ul == solve(problem).objective
+                assert report.ul == simplex(problem).objective
                 first_tie_misses += not first_tie_plan_fits(problem)
         # the count tie-break decides some of these plans
         assert first_tie_misses > 0
@@ -322,8 +333,8 @@ class TestNearestPlan:
         problem = build_problem(original, anonymized)
         assert utility._nearest_plan(problem) is None
         solves = []
-        monkeypatch.setattr(utility, "solve", lambda p: solves.append(p) or solve(p))
-        oracle = lp_min_cost(problem.source_masses, problem.sink_masses, problem.cost)
+        monkeypatch.setattr(utility, "_simplex", lambda p: solves.append(p) or simplex(p))
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
         assert data_utility(original, anonymized).ul == pytest.approx(oracle, abs=1e-12)
         assert oracle == pytest.approx(0.5, abs=1e-12)
         assert len(solves) == 1
