@@ -35,11 +35,15 @@ the views, so it grows with view events x alphabet.  On the benchmark's
 Sepsis-shaped log it takes 0.94 MB for subsequences and multisets and
 0.55 MB for sets; 100k variants of 50 events over 200 activities would need
 about 4 GB.  The table is a function of the views alone, so building it per
-block of views is one call on a slice of them.  Only the last level is
-reduced, straight to each candidate's cardinality and entropy sum, by
-sorting the keys and summing runs of equal ones.  Keys are fixed-width
+block of views is one call on a slice of them.  Keys are fixed-width
 packed integers, split over several 63-bit words when the alphabet and size
-need more bits.
+need more bits.  Only the last level is reduced, straight to each
+candidate's cardinality and entropy sum.  When a key fits one word, a first
+activity's keys differ only in the bits below it; if those span at most
+``_DENSE_SPAN`` values (2**20: up to 16 activities at size 6), the rows are
+summed by ``np.bincount`` into dense bins over that span, whose non-empty
+bins are the candidates in canonical order.  Wider alphabets, larger sizes
+and multi-word keys sort the keys instead and sum runs of equal ones.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -63,6 +67,10 @@ DEFAULT_CANDIDATE_CAP = 50_000_000
 
 # Frontier states examined by one expansion step; bounds its transient memory.
 _FRONTIER_CAP = 1 << 18
+
+# The most keys a first activity's last level may span and still be reduced
+# into dense bins: two float64 arrays of this length, 16 MB.
+_DENSE_SPAN = _FRONTIER_CAP << 2
 
 
 class BkType(Enum):
@@ -269,7 +277,10 @@ def enumerate_candidates(
     activity is seeded from its column of the next-occurrence table, then
     expanded depth first in chunks of a bounded number of rows and reduced
     on its own; only size ``size`` is reduced to per-candidate
-    cardinalities and entropy sums.
+    cardinalities and entropy sums.  The reduction bins the rows by key when
+    the first activity's keys span at most ``_DENSE_SPAN`` values of one key
+    word, and sorts them otherwise; which one runs depends only on the
+    alphabet's width and ``size``.
     Exceeding ``cap`` distinct candidates aborts with
     :class:`CandidateLimitError` rather than returning a partial index.
     """
@@ -286,6 +297,11 @@ def enumerate_candidates(
     counts = np.asarray(log.counts, dtype=np.float64)
     clog = counts * np.log2(counts)
     chunk = max(1, _FRONTIER_CAP // n_labels)
+    # In one key word, a first activity's keys differ only in the low
+    # ``shift`` bits below it, so they fit a span of dense bins.
+    shift = bits * (size - 1)
+    span = 1 << shift
+    dense = n_words == 1 and span <= _DENSE_SPAN
 
     def expand(level: int, variant: np.ndarray, pos: np.ndarray, words: list[np.ndarray]):
         """The frontier rows one level deeper than the given rows at ``level``."""
@@ -298,6 +314,14 @@ def enumerate_candidates(
         words[w] <<= bits
         words[w] |= act
         return variant[parent], succ.ravel()[flat] + 1, words
+
+    def tally(leaves: list, bins: list | None) -> list[np.ndarray]:
+        """Add the (key, variant) rows' counts and entropy terms into the key bins."""
+        key = np.concatenate([k for k, _ in leaves])
+        key &= span - 1
+        variant = np.concatenate([v for _, v in leaves])
+        new = [np.bincount(key, weights=x[variant], minlength=span) for x in (counts, clog)]
+        return new if bins is None else [np.add(b, n, out=b) for b, n in zip(bins, new)]
 
     def check_cap(count: int) -> None:
         if count > cap:
@@ -319,12 +343,21 @@ def enumerate_candidates(
         words += [np.zeros(len(variant), dtype=np.int64)] * (n_words - 1)
         stack = [(1, variant, first[variant] + 1, words)]
         # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  Chunks that reach ``size`` are grouped as they come and
-        # merged once the pending rows outgrow the merged ones, so each row
-        # is merged O(log n) times.
+        # is expanded.  With dense bins, chunks that reach ``size`` are held
+        # until their rows fill the span and then summed into the bins, so a
+        # first activity costs O(rows + span).  Otherwise they are grouped as
+        # they come and merged once the pending rows outgrow the merged ones,
+        # so each row is merged O(log n) times.
         merged, parts = empty, []
+        bins, leaves, held = None, [], 0
         while stack:
             level, variant, pos, words = stack.pop()
+            if level == size and dense:
+                leaves.append((words[0], variant))
+                held += len(variant)
+                if held >= span:
+                    bins, leaves, held = tally(leaves, bins), [], 0
+                continue
             if level == size:
                 parts.append(_group(words, counts[variant], clog[variant]))
                 if sum(len(p[1]) for p in parts) > max(len(merged[1]), _FRONTIER_CAP):
@@ -337,7 +370,13 @@ def enumerate_candidates(
             variant, pos, words = expand(level, variant, pos, words)
             if len(variant):
                 stack.append((level + 1, variant, pos, words))
-        results.append(_group(*_concat([merged, *parts])))
+        if dense:
+            if leaves:
+                bins = tally(leaves, bins)
+            present = np.flatnonzero(bins[0] > 0)
+            results.append(([present | a << shift], *(b[present] for b in bins)))
+        else:
+            results.append(_group(*_concat([merged, *parts])))
         found += len(results[-1][1])
         check_cap(found)
 

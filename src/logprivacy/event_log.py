@@ -18,6 +18,7 @@ import xml.etree.ElementTree as ET
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from numbers import Integral
 from typing import BinaryIO, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InputError
@@ -92,6 +93,8 @@ class EventLog:
         for v, c in zip(variants, counts):
             if not v:
                 raise ValueError("empty traces are not allowed in an event log")
+            if not isinstance(c, Integral):
+                raise ValueError(f"variant count must be an integer, got {c!r}")
             if c < 1:
                 raise ValueError(f"variant count must be >= 1, got {c}")
             used.update(v)

@@ -148,13 +148,12 @@ def _nearest_plan(problem: TransportProblem) -> TransportPlan | None:
 
     Ties between closest sinks are broken as merge-nearest breaks them: the
     sink whose labels have the larger count on the source side (0 where that
-    side lacks them), then the first sink.  Returns ``None`` unless both sides
-    have the same trace total, every used arc costs exactly its row's minimum,
-    and ``_plan`` finds the counts sent into each sink equal to its count.
+    side lacks them), then the first sink.  Returns ``None`` unless every used
+    arc costs exactly its row's minimum and ``_plan`` finds the cross-scaled
+    amount sent into each sink equal to its demand.  That compares the two
+    distributions, so the trace totals may differ.
     """
     n_sink = sum(problem.sink_counts)
-    if sum(problem.source_counts) != n_sink:
-        return None
     cost = problem.cost
     source_count = dict(zip(problem.source_variants, problem.source_counts))
     weight = np.array([source_count.get(v, 0) for v in problem.sink_variants])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import random
 from collections import Counter
@@ -23,6 +24,26 @@ from logprivacy import background as bg
 from oracles import itertools_candidate_index, naive_candidate_index, random_log
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
+
+# The last level is reduced into dense key bins when a first activity's keys
+# span at most ``_DENSE_SPAN`` values, and by sorting otherwise.  The oracle
+# tests run as shipped (dense on these small alphabets), with every cell
+# sorted, and with spans of at most 64 keys that chunks of a few rows flush
+# many times while larger spans sort.
+REDUCTIONS = (
+    {},
+    {"_DENSE_SPAN": 0},
+    {"_DENSE_SPAN": 64, "_FRONTIER_CAP": 16},
+)
+
+
+def each_reduction(monkeypatch, reductions=REDUCTIONS):
+    """Yield once under each patch of the reduction settings."""
+    for patch in reductions:
+        with monkeypatch.context() as m:
+            for name, value in patch.items():
+                m.setattr(bg, name, value)
+            yield patch
 
 
 def ids_of(log: EventLog, word: str) -> tuple[int, ...]:
@@ -192,23 +213,22 @@ class TestEnumerate:
         assert len(lines) == index.candidate_count
         assert lines == sorted(lines)
 
-    def test_lazy_projections_agree_with_oracle_and_aggregates(self):
+    def test_lazy_projections_agree_with_oracle_and_aggregates(self, monkeypatch):
         rng = random.Random(505)
-        for _ in range(10):
-            log = random_log(rng, max_variants=8, max_alphabet=4, max_len=8)
-            for kind in KINDS:
-                for size in (1, 2, 3):
-                    index = enumerate_candidates(log, KINDS[kind], size)
-                    items = [(cand, project(log, cand)) for cand in index.candidates()]
-                    got = {cand.elements: dict(proj.matches) for cand, proj in items}
-                    assert got == naive_candidate_index(log, kind, size)
-                    assert index.cardinalities().tolist() == [p.cardinality for _, p in items]
-                    np.testing.assert_allclose(
-                        index.entropy_sums(),
-                        [entropy_sum(p.matches) for _, p in items],
-                        rtol=0,
-                        atol=1e-9,
-                    )
+        logs = [random_log(rng, max_variants=8, max_alphabet=4, max_len=8) for _ in range(10)]
+        for _ in each_reduction(monkeypatch):
+            for log, kind, size in itertools.product(logs, KINDS, (1, 2, 3)):
+                index = enumerate_candidates(log, KINDS[kind], size)
+                items = [(cand, project(log, cand)) for cand in index.candidates()]
+                got = {cand.elements: dict(proj.matches) for cand, proj in items}
+                assert got == naive_candidate_index(log, kind, size)
+                assert index.cardinalities().tolist() == [p.cardinality for _, p in items]
+                np.testing.assert_allclose(
+                    index.entropy_sums(),
+                    [entropy_sum(p.matches) for _, p in items],
+                    rtol=0,
+                    atol=1e-9,
+                )
 
 
 def entropy_sum(matches) -> float:
@@ -229,24 +249,26 @@ class TestLongTraces:
     """Sizes 4-6 on traces of 15-25 events that repeat activities."""
 
     @pytest.mark.parametrize("size", [4, 5, 6])
-    def test_random_logs_match_itertools_oracle(self, size):
+    def test_random_logs_match_itertools_oracle(self, size, monkeypatch):
         rng = random.Random(2000 + size)
-        for _ in range(3):
-            log = random_log(
-                rng, max_variants=5, min_alphabet=3, max_alphabet=6, min_len=15, max_len=25
-            )
-            for kind in KINDS:
+        logs = [
+            random_log(rng, max_variants=5, min_alphabet=3, max_alphabet=6, min_len=15, max_len=25)
+            for _ in range(3)
+        ]
+        for _ in each_reduction(monkeypatch):
+            for log, kind in itertools.product(logs, KINDS):
                 index = enumerate_candidates(log, KINDS[kind], size)
                 assert_matches_oracle(index, itertools_candidate_index(log, kind, size))
 
     def test_chunks_that_split_one_variants_frontier(self, monkeypatch):
         # Expand one state per step, so every variant's frontier spans many
-        # chunks and the reduction merges many of them.
+        # chunks and the reduction merges many of them.  Both reductions
+        # must stop at the cap.
         monkeypatch.setattr(bg, "_FRONTIER_CAP", 3)
         rng = random.Random(606)
         log = random_log(rng, max_variants=3, min_alphabet=4, max_alphabet=4, min_len=15, max_len=18)
-        for kind in KINDS:
-            for size in (2, 3):
+        for _ in each_reduction(monkeypatch, ({}, {"_DENSE_SPAN": 0})):
+            for kind, size in itertools.product(KINDS, (2, 3)):
                 oracle = itertools_candidate_index(log, kind, size)
                 index = enumerate_candidates(log, KINDS[kind], size, cap=len(oracle))
                 assert_matches_oracle(index, oracle)
@@ -263,17 +285,19 @@ PERMUTED_VARIANTS = {"abcb": 1, "bcba": 2, "cbab": 3, "abc": 4}
 class TestOracleEquivalence:
     @pytest.mark.parametrize("kind", ["set", "mult", "seq"])
     @pytest.mark.parametrize("size", [1, 2, 3])
-    def test_random_logs_match_naive_enumeration(self, kind, size):
+    def test_random_logs_match_naive_enumeration(self, kind, size, monkeypatch):
         rng = random.Random(1000 + size)
-        logs = [random_log(rng) for _ in range(40)]
-        for log in logs + [EventLog.from_counts(PERMUTED_VARIANTS)]:
-            index = enumerate_candidates(log, KINDS[kind], size)
-            got = {
-                cand.elements: dict(project(log, cand).matches) for cand in index.candidates()
-            }
-            expected = naive_candidate_index(log, kind, size)
-            assert got == expected
-            assert_matches_oracle(index, expected)
+        logs = [random_log(rng) for _ in range(40)] + [EventLog.from_counts(PERMUTED_VARIANTS)]
+        for _ in each_reduction(monkeypatch):
+            for log in logs:
+                index = enumerate_candidates(log, KINDS[kind], size)
+                got = {
+                    cand.elements: dict(project(log, cand).matches)
+                    for cand in index.candidates()
+                }
+                expected = naive_candidate_index(log, kind, size)
+                assert got == expected
+                assert_matches_oracle(index, expected)
 
     def test_conservation_of_cardinalities(self):
         rng = random.Random(77)

@@ -315,11 +315,21 @@ class TestSweep:
         records = {r["k"]: r for r in report["results"]["records"]}
         assert records[1]["ul"] == 0.0
         assert records[2]["ul"] == pytest.approx(0.005, abs=1e-15)
-        # suppression changes the trace total, so the simplex runs and fails
+        # suppression drops abcd and acbd, which are closest to a different
+        # kept variant each, so the kept counts stay proportional and the
+        # nearest plan holds too
+        code, report = run_json(capsys, argv + ["--strategy", "suppress"])
+        assert code == EXIT_OK
+        records = {r["k"]: r for r in report["results"]["records"]}
+        assert records[2]["ul"] == pytest.approx(0.005, abs=1e-15)
+        # with only one of them the proportions tip, so the simplex runs and
+        # fails
+        lopsided = {t: c for t, c in EX3_ORIGINAL.items() if t != ("a", "c", "b", "d")}
+        argv[1] = str(write_log_csv(original.parent / "lopsided.csv", lopsided))
         code, report = run_json(capsys, argv + ["--strategy", "suppress"])
         assert code == EXIT_SOLVER
         records = {r["k"]: r for r in report["results"]["records"]}
-        assert records[2] == {"k": 2, "error": "no optimality certificate after 0 pivots (4x2 problem)"}
+        assert records[2] == {"k": 2, "error": "no optimality certificate after 0 pivots (3x2 problem)"}
         assert records[1]["du"] == 1.0
 
     def test_records_ordered_by_k(self, capsys, ex2_l2_csv):

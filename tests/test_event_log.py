@@ -6,6 +6,7 @@ import math
 import random
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,6 +200,15 @@ class TestEventLogInvariants:
     def test_rejects_zero_count(self):
         with pytest.raises(ValueError):
             EventLog.from_counts({("a",): 0})
+
+    def test_rejects_non_integer_counts(self):
+        with pytest.raises(ValueError, match="integer"):
+            EventLog([(0,)], [1.5], ["a"])
+        with pytest.raises(ValueError, match="integer"):
+            EventLog.from_counts({("a",): 2.7})
+        with pytest.raises(ValueError, match="integer"):
+            EventLog.from_counts({("a",): 2.0})
+        assert EventLog([(0,)], [np.int64(3)], ["a"]).counts == (3,)
 
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="distinct"):

@@ -326,18 +326,30 @@ class TestNearestPlan:
         assert utility._nearest_plan(build_problem(log, anonymized)) is None
 
     def test_missed_sink_count_falls_back(self, monkeypatch):
-        # ("b",) is 1 from both sinks and goes to ("a",), which then holds
-        # four traces instead of three.
+        # ("b",) is 1 from both sinks and goes to ("a",), which then gets
+        # all of the mass instead of three quarters; doubling the anonymized
+        # log changes its total, not the miss.
         original = EventLog.from_counts({("a",): 2, ("b",): 2})
-        anonymized = EventLog.from_counts({("a",): 3, ("c",): 1})
-        problem = build_problem(original, anonymized)
-        assert utility._nearest_plan(problem) is None
         solves = []
         monkeypatch.setattr(utility, "_simplex", lambda p: solves.append(p) or simplex(p))
-        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
-        assert data_utility(original, anonymized).ul == pytest.approx(oracle, abs=1e-12)
-        assert oracle == pytest.approx(0.5, abs=1e-12)
-        assert len(solves) == 1
+        for scale in (1, 2):
+            anonymized = EventLog.from_counts({("a",): 3 * scale, ("c",): scale})
+            problem = build_problem(original, anonymized)
+            assert utility._nearest_plan(problem) is None
+            oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
+            assert data_utility(original, anonymized).ul == pytest.approx(oracle, abs=1e-12)
+            assert oracle == pytest.approx(0.5, abs=1e-12)
+            assert len(solves) == scale
+
+    def test_proportional_logs_of_unequal_totals_need_no_simplex(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(utility, "_simplex", lambda p: solves.append(p) or simplex(p))
+        report = data_utility(
+            EventLog.from_counts({("a",): 2, ("b",): 2}), EventLog.from_counts({("a",): 1, ("b",): 1})
+        )
+        assert report.ul == 0.0
+        assert report.plan.flows == {(0, 0): 0.5, (1, 1): 0.5}
+        assert solves == []
 
 
 class TestPlanExport:
