@@ -117,6 +117,16 @@ def _parse_k_values(text: str) -> list[int]:
     return values
 
 
+def _parse_cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad cap {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError("the candidate cap must be an integer >= 1")
+    return cap
+
+
 # -- input loading -----------------------------------------------------------
 
 
@@ -375,7 +385,7 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--aggregation", type=lambda s: Aggregation(s.lower()),
                      default=Aggregation.AVERAGE, choices=list(Aggregation),
                      metavar="{average,worst}", help="average (default) or worst")
-    sub.add_argument("--cap", type=int, default=DEFAULT_CANDIDATE_CAP,
+    sub.add_argument("--cap", type=_parse_cap, default=DEFAULT_CANDIDATE_CAP,
                      help=f"candidate cap per cell (default: {DEFAULT_CANDIDATE_CAP})")
 
 

@@ -130,6 +130,17 @@ class TestRisk:
         assert [c["size"] for c in report["results"]["cells"]] == []
         assert {f["size"] for f in report["results"]["failures"]} == {1, 2}
 
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_cap_is_a_usage_error(self, capsys, ex2_l2_csv, command, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(ex2_l2_csv), "--sizes", "1", "--cap", cap])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: logprivacy")
+        assert "candidate cap must be an integer >= 1" in captured.err
+
     def test_cells_are_listed_in_grid_order(self, capsys, ex2_l2_csv):
         code, report = run_json(
             capsys, ["risk", str(ex2_l2_csv), "--types", "seq,set", "--sizes", "2,1"]

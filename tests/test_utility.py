@@ -216,6 +216,31 @@ class TestSolverStress:
             a, b = rows[i], cols[j]
             assert problem.cost[i, j] == table_edit_distance(a, b) / max(len(a), len(b))
 
+    @pytest.mark.parametrize("m,n", [(12, 12), (5, 20), (1, 1), (1, 40), (40, 1), (300, 1)])
+    def test_block_rule_extremes_match_oracle(self, m, n):
+        # 12x12 and 5x20 fit one pricing block, as do 1xn problems; mx1
+        # problems take about 12*sqrt(m) rows a block, so 300x1 ends on a
+        # partial block.  Repeated counts and five cost values tie heavily.
+        rng = random.Random(m * 1000 + n)
+        supply_counts = [rng.choice((1, 1, 2, 3, 5)) for _ in range(m)]
+        demand_counts = [rng.choice((1, 2, 2, 4)) for _ in range(n)]
+        cost = [[rng.choice((0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(n)] for _ in range(m)]
+        problem = count_problem(supply_counts, demand_counts, cost)
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, cost)
+        assert simplex(problem).objective == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("seed,n_traces", [(0, 120), (1, 120), (1, 150)])
+    def test_thin_suppress_problems_match_oracle(self, seed, n_traces):
+        # Suppression at k = 2 keeps 3-5 repeated variants of 100-140
+        # distinct ones: a thin problem of many pricing rows per block.
+        log = markov_log_pair(seed, n_traces)[0]
+        anonymized = k_anonymize(log, AnonymizationConfig(2, Strategy.SUPPRESS))
+        problem = build_problem(log, anonymized)
+        assert 3 <= len(problem.sink_variants) <= 5
+        assert utility._nearest_plan(problem) is None
+        oracle = lp_min_cost(problem.source_counts, problem.sink_counts, problem.cost)
+        assert simplex(problem).objective == pytest.approx(oracle, abs=1e-9)
+
     def test_solve_is_deterministic(self):
         cost = [[0.2, 0.8], [0.8, 0.2], [0.5, 0.5], [0.1, 0.9]]
         first = simplex(count_problem([1] * 4, [1, 1], cost))
