@@ -38,12 +38,14 @@ about 4 GB.  The table is a function of the views alone, so building it per
 block of views is one call on a slice of them.  Keys are fixed-width
 packed integers, split over several 63-bit words when the alphabet and size
 need more bits.  Only the last level is reduced, straight to each
-candidate's cardinality and entropy sum.  When a key fits one word, a first
-activity's keys differ only in the bits below it; if those span at most
-``_DENSE_SPAN`` values (2**20: up to 16 activities at size 6), the rows are
-summed by ``np.bincount`` into dense bins over that span, whose non-empty
-bins are the candidates in canonical order.  Wider alphabets, larger sizes
-and multi-word keys sort the keys instead and sum runs of equal ones.
+candidate's cardinality and entropy sum, from one buffer of rows folded into
+the first activity's aggregates whenever it reaches a limit.  When a key
+fits one word, a first activity's keys differ only in the bits below it; if
+those span at most ``_DENSE_SPAN`` values (2**20: up to 16 activities at
+size 6), the limit is that span and ``np.bincount`` sums the rows into dense
+bins over it, whose non-empty bins are the candidates in canonical order.
+Wider alphabets, larger sizes and multi-word keys sort the rows with the
+keys so far, once they outnumber both those keys and ``_FRONTIER_CAP``.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -277,10 +279,10 @@ def enumerate_candidates(
     activity is seeded from its column of the next-occurrence table, then
     expanded depth first in chunks of a bounded number of rows and reduced
     on its own; only size ``size`` is reduced to per-candidate
-    cardinalities and entropy sums.  The reduction bins the rows by key when
-    the first activity's keys span at most ``_DENSE_SPAN`` values of one key
-    word, and sorts them otherwise; which one runs depends only on the
-    alphabet's width and ``size``.
+    cardinalities and entropy sums, a buffer of rows at a time.  The
+    reduction bins the rows by key when the first activity's keys span at
+    most ``_DENSE_SPAN`` values of one key word, and sorts them otherwise;
+    which one runs depends only on the alphabet's width and ``size``.
     Exceeding ``cap`` distinct candidates aborts with
     :class:`CandidateLimitError` rather than returning a partial index.
     """
@@ -315,24 +317,28 @@ def enumerate_candidates(
         words[w] |= act
         return variant[parent], succ.ravel()[flat] + 1, words
 
-    def tally(leaves: list, bins: list | None) -> list[np.ndarray]:
-        """Add the (key, variant) rows' counts and entropy terms into the key bins."""
-        key = np.concatenate([k for k, _ in leaves])
-        key &= span - 1
-        variant = np.concatenate([v for _, v in leaves])
-        new = [np.bincount(key, weights=x[variant], minlength=span) for x in (counts, clog)]
-        return new if bins is None else [np.add(b, n, out=b) for b, n in zip(bins, new)]
-
     def check_cap(count: int) -> None:
         if count > cap:
             raise CandidateLimitError(bk_type, size, count=count, cap=cap)
+
+    def reduce(leaves: list, acc):
+        """Fold (key words, variant) rows into the key bins or grouped aggregates ``acc``."""
+        words = [np.concatenate(column) for column in zip(*(k for k, _ in leaves))]
+        variant = np.concatenate([v for _, v in leaves])
+        if dense:
+            words[0] &= span - 1
+            new = [np.bincount(words[0], weights=x[variant], minlength=span) for x in (counts, clog)]
+            return new if acc is None else [np.add(b, n, out=b) for b, n in zip(acc, new)]
+        rows = (words, counts[variant], clog[variant])
+        acc = _group(*(rows if acc is None else _concat([acc, rows])))
+        check_cap(found + len(acc[1]))
+        return acc
 
     # Candidates with different first activities have disjoint key ranges,
     # so each first activity is grown and reduced on its own, in ascending
     # order.  Its rows are the views whose first occurrence of it leaves
     # room for the rest of the candidate.
-    empty = ([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0), np.zeros(0))
-    results = [empty]
+    results = [([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0), np.zeros(0))]
     found = 0
     for a in range(n_labels):
         first = nxt[starts, a]
@@ -343,26 +349,18 @@ def enumerate_candidates(
         words += [np.zeros(len(variant), dtype=np.int64)] * (n_words - 1)
         stack = [(1, variant, first[variant] + 1, words)]
         # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  With dense bins, chunks that reach ``size`` are held
-        # until their rows fill the span and then summed into the bins, so a
-        # first activity costs O(rows + span).  Otherwise they are grouped as
-        # they come and merged once the pending rows outgrow the merged ones,
-        # so each row is merged O(log n) times.
-        merged, parts = empty, []
-        bins, leaves, held = None, [], 0
+        # is expanded.  Rows that reach ``size`` are held until they reach a
+        # limit, then reduced into ``acc``: the span for dense bins, so a first
+        # activity costs O(rows + span), else the keys so far, at least
+        # ``_FRONTIER_CAP``, so each row is grouped O(log n) times.
+        acc, leaves, held = None, [], 0
         while stack:
             level, variant, pos, words = stack.pop()
-            if level == size and dense:
-                leaves.append((words[0], variant))
-                held += len(variant)
-                if held >= span:
-                    bins, leaves, held = tally(leaves, bins), [], 0
-                continue
             if level == size:
-                parts.append(_group(words, counts[variant], clog[variant]))
-                if sum(len(p[1]) for p in parts) > max(len(merged[1]), _FRONTIER_CAP):
-                    merged, parts = _group(*_concat([merged, *parts])), []
-                    check_cap(found + len(merged[1]))
+                leaves.append((words, variant))
+                held += len(variant)
+                if held >= (span if dense else max(_FRONTIER_CAP, len(acc[1]) if acc else 0)):
+                    acc, leaves, held = reduce(leaves, acc), [], 0
                 continue
             if len(variant) > chunk:
                 stack.append((level, variant[chunk:], pos[chunk:], [w[chunk:] for w in words]))
@@ -370,14 +368,13 @@ def enumerate_candidates(
             variant, pos, words = expand(level, variant, pos, words)
             if len(variant):
                 stack.append((level + 1, variant, pos, words))
+        if leaves:
+            acc = reduce(leaves, acc)
         if dense:
-            if leaves:
-                bins = tally(leaves, bins)
-            present = np.flatnonzero(bins[0] > 0)
-            results.append(([present | a << shift], *(b[present] for b in bins)))
-        else:
-            results.append(_group(*_concat([merged, *parts])))
-        found += len(results[-1][1])
+            present = np.flatnonzero(acc[0] > 0)
+            acc = ([present | a << shift], *(b[present] for b in acc))
+        results.append(acc)
+        found += len(acc[1])
         check_cap(found)
 
     words, cards, ents = _concat(results)

@@ -25,15 +25,18 @@ from oracles import itertools_candidate_index, naive_candidate_index, random_log
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
 
-# The last level is reduced into dense key bins when a first activity's keys
-# span at most ``_DENSE_SPAN`` values, and by sorting otherwise.  The oracle
-# tests run as shipped (dense on these small alphabets), with every cell
-# sorted, and with spans of at most 64 keys that chunks of a few rows flush
-# many times while larger spans sort.
+# The last level's rows are held in one buffer and reduced once they reach a
+# limit: into dense key bins when a first activity's keys span at most
+# ``_DENSE_SPAN`` values, and by sorting otherwise.  The oracle tests run as
+# shipped (dense on these small alphabets), with every cell sorted, with spans
+# of at most 64 keys that chunks of a few rows flush many times while larger
+# spans sort, and with every cell sorted from a buffer that flushes every few
+# rows.
 REDUCTIONS = (
     {},
     {"_DENSE_SPAN": 0},
     {"_DENSE_SPAN": 64, "_FRONTIER_CAP": 16},
+    {"_DENSE_SPAN": 0, "_FRONTIER_CAP": 4},
 )
 
 
@@ -275,6 +278,19 @@ class TestLongTraces:
                 with pytest.raises(CandidateLimitError) as exc:
                     enumerate_candidates(log, KINDS[kind], size, cap=len(oracle) - 1)
                 assert exc.value.count > len(oracle) - 1
+
+    def test_sorted_reduction_stops_inside_a_first_activity(self, monkeypatch):
+        # Every candidate of this cell sorts, and the buffer is reduced every
+        # few rows.  The cap must be checked at each reduction, not only once
+        # a first activity is done: the 72 candidates that start with ``a``
+        # would all be held before an after-subtree check could stop them.
+        monkeypatch.setattr(bg, "_DENSE_SPAN", 0)
+        monkeypatch.setattr(bg, "_FRONTIER_CAP", 4)
+        log = EventLog.from_counts({tuple("abcdefghij"): 1, tuple("ajihgfedcb"): 1})
+        assert sum(k[0] == 0 for k in itertools_candidate_index(log, "seq", 3)) == 72
+        with pytest.raises(CandidateLimitError) as exc:
+            enumerate_candidates(log, BkType.SEQUENCE, 3, cap=5)
+        assert 5 < exc.value.count < 72
 
 
 # Permutations of one another: every variant's set view is abc, and the three
