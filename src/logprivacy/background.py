@@ -30,22 +30,31 @@ so each first activity is grown on its own: its first level is read from the
 table's column at each view's start, and it is expanded depth first in
 chunks of a bounded number of rows, so the frontier's memory stays bounded
 however long the traces are.  The table is built once per call and not
-chunked: it holds one int32 per activity for every event and every end of
-the views, so it grows with view events x alphabet.  On the benchmark's
-Sepsis-shaped log it takes 0.94 MB for subsequences and multisets and
-0.55 MB for sets; 100k variants of 50 events over 200 activities would need
-about 4 GB.  The table is a function of the views alone, so building it per
-block of views is one call on a slice of them.  Keys are fixed-width
-packed integers, split over several 63-bit words when the alphabet and size
-need more bits.  Only the last level is reduced, straight to each
-candidate's cardinality and entropy sum, from one buffer of rows folded into
-the first activity's aggregates whenever it reaches a limit.  When a key
-fits one word, a first activity's keys differ only in the bits below it; if
-those span at most ``_DENSE_SPAN`` values (2**20: up to 16 activities at
-size 6), the limit is that span and ``np.bincount`` sums the rows into dense
-bins over it, whose non-empty bins are the candidates in canonical order.
-Wider alphabets, larger sizes and multi-word keys sort the rows with the
-keys so far, once they outnumber both those keys and ``_FRONTIER_CAP``.
+chunked: it holds one int32 for every event and every end of the views
+and every activity code, the alphabet rounded up to a power of two, so it
+grows with view events x alphabet.  On the benchmark's Sepsis-shaped log
+(16 activities) it takes 0.94 MB for subsequences and multisets and
+0.55 MB for sets; 100k variants of 50 events over 200 activities (256
+codes) would need about 5.2 GB.  The table is a function of the views
+alone, so building it per block of views is one call on a slice of them.
+Keys are fixed-width packed integers, split over several 63-bit words when
+the alphabet and size need more bits.
+
+Only the last level is reduced, straight to each candidate's cardinality and
+entropy sum.  When a key fits one word, a first activity's keys differ only
+in the bits below it; if those span at most ``_DENSE_SPAN`` values (2**20:
+up to 16 activities at size 6), they are summed into dense bins over that
+span, and no leaf row is built.  Each chunk of rows one level short is
+turned straight into its leaves' bins: a leaf's cell in the chunk's table
+block is ``row << bits | activity``, so its bin is that cell plus an offset
+of its row.  A variant that occurs once adds exactly 1 to a cardinality and
+0 to an entropy sum, so the rows of such variants are split off before they
+grow and their leaves tallied by an unweighted ``np.bincount``; only
+repeated variants' leaves are weighted.  The held bins are summed whenever
+they fill the span, and the non-empty bins are the candidates in canonical
+order.  Wider alphabets, larger sizes and multi-word keys build their leaf
+rows, without successor positions, and sort them with the keys so far once
+they outnumber both those keys and ``_FRONTIER_CAP``.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -214,14 +223,16 @@ class CandidateIndex:
 # -- enumeration -------------------------------------------------------------
 
 def _next_occurrence(
-    views: Sequence[Sequence[int]], n_labels: int
+    views: Sequence[Sequence[int]], n_labels: int, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next-occurrence table of ``views`` over activities ``0 .. n_labels - 1``.
 
     Every view owns one row per event and one end row after them; ``ends``
-    and ``starts`` give each view's end row and first row.  ``nxt[p, a]`` is
-    the first row at or after ``p`` of an event ``a`` in ``p``'s view, or the
-    number of rows when there is none.
+    and ``starts`` give each view's end row and first row, in the table's
+    dtype.  ``nxt[p, a]`` is the first row at or after ``p`` of an event
+    ``a`` in ``p``'s view, or the number of rows when there is none.  The
+    table has ``width >= n_labels`` columns; those past ``n_labels`` hold
+    no occurrence.
     """
     lengths = np.fromiter(map(len, views), dtype=np.int64, count=len(views))
     events = np.fromiter(
@@ -235,11 +246,12 @@ def _next_occurrence(
     acts[is_event] = events
     row_end = np.repeat(ends, lengths + 1)
     rows = np.arange(n_rows)
-    nxt = np.empty((n_rows, n_labels), dtype=np.int32 if n_rows < 2**31 - 1 else np.int64)
+    dtype = np.int32 if n_rows < 2**31 - 1 else np.int64
+    nxt = np.full((n_rows, width), n_rows, dtype=dtype)
     for a in range(n_labels):
         first = np.minimum.accumulate(np.where(acts == a, rows, n_rows)[::-1])[::-1]
         nxt[:, a] = np.where(first < row_end, first, n_rows)
-    return nxt, ends, ends - lengths
+    return nxt, ends.astype(dtype), (ends - lengths).astype(dtype)
 
 
 def _group(words: list[np.ndarray], cards: np.ndarray, ents: np.ndarray):
@@ -279,10 +291,13 @@ def enumerate_candidates(
     activity is seeded from its column of the next-occurrence table, then
     expanded depth first in chunks of a bounded number of rows and reduced
     on its own; only size ``size`` is reduced to per-candidate
-    cardinalities and entropy sums, a buffer of rows at a time.  The
-    reduction bins the rows by key when the first activity's keys span at
-    most ``_DENSE_SPAN`` values of one key word, and sorts them otherwise;
-    which one runs depends only on the alphabet's width and ``size``.
+    cardinalities and entropy sums.  When the first activity's keys span at
+    most ``_DENSE_SPAN`` values of one key word, each chunk one level short
+    of ``size`` is turned straight into its leaves' bin indices, with
+    count-1 variants tallied apart from repeated ones, and summed into
+    dense bins; otherwise the leaves are built as key rows and sorted a
+    buffer at a time.  Which one runs depends only on the alphabet's width
+    and ``size``.
     Exceeding ``cap`` distinct candidates aborts with
     :class:`CandidateLimitError` rather than returning a partial index.
     """
@@ -295,9 +310,16 @@ def enumerate_candidates(
     bits = max(1, (n_labels - 1).bit_length())
     per_word = 63 // bits
     n_words = -(-size // per_word)
-    nxt, ends, starts = _next_occurrence([_view(bk_type, v) for v in log.variants], n_labels)
+    # One table column per ``bits``-bit activity code, so the cell of row r
+    # and activity a in a block of rows is ``r << bits | a``.
+    nxt, ends, starts = _next_occurrence(
+        [_view(bk_type, v) for v in log.variants], n_labels, 1 << bits
+    )
     counts = np.asarray(log.counts, dtype=np.float64)
     clog = counts * np.log2(counts)
+    unit = counts == 1
+    # Rows per expansion step.  Their table block is padded to a power of
+    # two wide, so it holds at most ``2 * _FRONTIER_CAP`` cells.
     chunk = max(1, _FRONTIER_CAP // n_labels)
     # In one key word, a first activity's keys differ only in the low
     # ``shift`` bits below it, so they fit a span of dense bins.
@@ -305,30 +327,60 @@ def enumerate_candidates(
     span = 1 << shift
     dense = n_words == 1 and span <= _DENSE_SPAN
 
-    def expand(level: int, variant: np.ndarray, pos: np.ndarray, words: list[np.ndarray]):
-        """The frontier rows one level deeper than the given rows at ``level``."""
+    def children(level: int, variant: np.ndarray, pos: np.ndarray):
+        """The table block of the given rows at ``level``, and their children's cells in it."""
         succ = nxt[pos]
         # The chosen event must leave room for the elements still to add.
-        flat = np.flatnonzero(succ < (ends[variant] - (size - level - 1))[:, None])
-        parent, act = np.divmod(flat, n_labels)
+        return succ, np.flatnonzero(succ < (ends[variant] - (size - level - 1))[:, None])
+
+    def expand(level: int, variant: np.ndarray, pos: np.ndarray, words: list[np.ndarray]):
+        """The frontier rows one level deeper than the given rows at ``level``.
+
+        Rows at ``size`` get no successor positions: nothing grows from them.
+        """
+        succ, flat = children(level, variant, pos)
+        parent = flat >> bits
         words = [w[parent] for w in words]
         w = level // per_word
         words[w] <<= bits
-        words[w] |= act
-        return variant[parent], succ.ravel()[flat] + 1, words
+        words[w] |= flat & ((1 << bits) - 1)
+        pos = succ.ravel()[flat] + 1 if level + 1 < size else None
+        return variant[parent], pos, words
+
+    def bin_leaves(level: int, variant: np.ndarray, pos: np.ndarray, key: np.ndarray):
+        """The dense bin of each leaf below the given rows, and the row it grows from.
+
+        A bin is a leaf key's low ``shift`` bits: its row's key shifted up by
+        ``bits``, or'ed with its activity.  The leaf's cell in the block is
+        ``row << bits | activity``, so its bin is the cell plus ``off[row]``.
+        Size-1 seed rows are their own leaves.
+        """
+        if level == size:
+            return key & (span - 1), np.arange(len(key))
+        flat = children(level, variant, pos)[1]
+        parent = flat >> bits
+        off = ((key << bits) & (span - 1)) - (np.arange(len(key)) << bits)
+        return flat + off[parent], parent
 
     def check_cap(count: int) -> None:
         if count > cap:
             raise CandidateLimitError(bk_type, size, count=count, cap=cap)
 
-    def reduce(leaves: list, acc):
-        """Fold (key words, variant) rows into the key bins or grouped aggregates ``acc``."""
+    def reduce(leaves: list, ones: list, acc):
+        """Fold (key words, variant) rows into the key bins or grouped aggregates ``acc``.
+
+        Dense leaves hold only their bin for a key, and ``ones`` the bins of
+        count-1 variants' leaves, which add 1 to a cardinality and 0 to an
+        entropy sum.
+        """
         words = [np.concatenate(column) for column in zip(*(k for k, _ in leaves))]
         variant = np.concatenate([v for _, v in leaves])
         if dense:
-            words[0] &= span - 1
-            new = [np.bincount(words[0], weights=x[variant], minlength=span) for x in (counts, clog)]
-            return new if acc is None else [np.add(b, n, out=b) for b, n in zip(acc, new)]
+            acc[0] += np.bincount(np.concatenate(ones), minlength=span)
+            if len(variant):
+                for b, x in zip(acc, (counts, clog)):
+                    b += np.bincount(words[0], weights=x[variant], minlength=span)
+            return acc
         rows = (words, counts[variant], clog[variant])
         acc = _group(*(rows if acc is None else _concat([acc, rows])))
         check_cap(found + len(acc[1]))
@@ -338,7 +390,9 @@ def enumerate_candidates(
     # so each first activity is grown and reduced on its own, in ascending
     # order.  Its rows are the views whose first occurrence of it leaves
     # room for the rest of the candidate.
-    results = [([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0), np.zeros(0))]
+    results = [([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0, dtype=np.int64), np.zeros(0))]
+    # The dense bins; each first activity clears those it filled.
+    tally = [np.zeros(span), np.zeros(span)] if dense else None
     found = 0
     for a in range(n_labels):
         first = nxt[starts, a]
@@ -349,33 +403,49 @@ def enumerate_candidates(
         words += [np.zeros(len(variant), dtype=np.int64)] * (n_words - 1)
         stack = [(1, variant, first[variant] + 1, words)]
         # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  Rows that reach ``size`` are held until they reach a
-        # limit, then reduced into ``acc``: the span for dense bins, so a first
-        # activity costs O(rows + span), else the keys so far, at least
-        # ``_FRONTIER_CAP``, so each row is grouped O(log n) times.
-        acc, leaves, held = None, [], 0
+        # is expanded.  The leaves below a chunk at ``size - 1`` are held
+        # until they reach a limit, then reduced into ``acc``: the span for
+        # dense bins, so a first activity costs O(rows + span), else the keys
+        # so far, at least ``_FRONTIER_CAP``, so each row is grouped O(log n)
+        # times.  Dense leaves are held as bins, split by their variant's
+        # count before they are grown, and only repeated variants' leaves
+        # keep a variant to weight them by.
+        acc = tally if dense else None
+        leaves, ones, held = [], [], 0
         while stack:
             level, variant, pos, words = stack.pop()
-            if level == size:
-                leaves.append((words, variant))
-                held += len(variant)
-                if held >= (span if dense else max(_FRONTIER_CAP, len(acc[1]) if acc else 0)):
-                    acc, leaves, held = reduce(leaves, acc), [], 0
-                continue
-            if len(variant) > chunk:
+            if level < size and len(variant) > chunk:
                 stack.append((level, variant[chunk:], pos[chunk:], [w[chunk:] for w in words]))
                 variant, pos, words = variant[:chunk], pos[:chunk], [w[:chunk] for w in words]
-            variant, pos, words = expand(level, variant, pos, words)
-            if len(variant):
-                stack.append((level + 1, variant, pos, words))
+            if level + 1 < size:
+                variant, pos, words = expand(level, variant, pos, words)
+                if len(variant):
+                    stack.append((level + 1, variant, pos, words))
+                continue
+            if dense:
+                one = unit[variant]
+                ones.append(bin_leaves(level, variant[one], pos[one], words[0][one])[0])
+                held += len(ones[-1])
+                many = ~one
+                bins, parent = bin_leaves(level, variant[many], pos[many], words[0][many])
+                variant, words = variant[many][parent], [bins]
+            elif level < size:
+                variant, _, words = expand(level, variant, pos, words)
+            leaves.append((words, variant))
+            held += len(variant)
+            if held >= (span if dense else max(_FRONTIER_CAP, len(acc[1]) if acc else 0)):
+                acc, leaves, ones, held = reduce(leaves, ones, acc), [], [], 0
         if leaves:
-            acc = reduce(leaves, acc)
+            acc = reduce(leaves, ones, acc)
         if dense:
             present = np.flatnonzero(acc[0] > 0)
             acc = ([present | a << shift], *(b[present] for b in acc))
-        results.append(acc)
+            for b in tally:
+                b[present] = 0
+        results.append((acc[0], acc[1].astype(np.int64), acc[2]))
         found += len(acc[1])
         check_cap(found)
 
+    del tally  # not held while the index is joined
     words, cards, ents = _concat(results)
-    return CandidateIndex(log.labels, bk_type, size, words, bits, cards.astype(np.int64), ents)
+    return CandidateIndex(log.labels, bk_type, size, words, bits, cards, ents)

@@ -168,6 +168,15 @@ class EventLog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
+        if self is other:
+            return True
+        # Cheap summaries first: labelled counts cost a dict per log.
+        if (
+            len(self._variants) != len(other._variants)
+            or self._total != other._total
+            or set(self._labels) != set(other._labels)
+        ):
+            return False
         return self._labelled_counts() == other._labelled_counts()
 
     def __hash__(self) -> int:

@@ -25,13 +25,12 @@ from oracles import itertools_candidate_index, naive_candidate_index, random_log
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
 
-# The last level's rows are held in one buffer and reduced once they reach a
-# limit: into dense key bins when a first activity's keys span at most
-# ``_DENSE_SPAN`` values, and by sorting otherwise.  The oracle tests run as
-# shipped (dense on these small alphabets), with every cell sorted, with spans
-# of at most 64 keys that chunks of a few rows flush many times while larger
-# spans sort, and with every cell sorted from a buffer that flushes every few
-# rows.
+# The last level is reduced once its held leaves reach a limit: summed into
+# dense key bins when a first activity's keys span at most ``_DENSE_SPAN``
+# values, and sorted otherwise.  The oracle tests run as shipped (dense on
+# these small alphabets), with every cell sorted, with spans of at most 64
+# keys that chunks of a few rows flush many times while larger spans sort,
+# and with every cell sorted from a buffer that flushes every few rows.
 REDUCTIONS = (
     {},
     {"_DENSE_SPAN": 0},
@@ -291,6 +290,48 @@ class TestLongTraces:
         with pytest.raises(CandidateLimitError) as exc:
             enumerate_candidates(log, BkType.SEQUENCE, 3, cap=5)
         assert 5 < exc.value.count < 72
+
+
+class TestUnitCounts:
+    """Dense leaves of count-1 variants are tallied apart from repeated ones."""
+
+    @staticmethod
+    def logs(rng: random.Random, n_labels: int, count):
+        """Random logs over exactly ``n_labels`` activities, counted by ``count(rng)``."""
+        labels = [chr(ord("a") + i) for i in range(n_labels)]
+        logs = []
+        for _ in range(6):
+            # One variant holds every activity, so the alphabet (and the
+            # table's padding to a power of two) is always ``n_labels`` wide.
+            traces = {tuple(rng.sample(labels, n_labels)): count(rng)}
+            for _ in range(rng.randint(1, 6)):
+                trace = tuple(rng.choice(labels) for _ in range(rng.randint(1, 7)))
+                traces[trace] = count(rng)
+            logs.append(EventLog.from_counts(traces))
+        return logs
+
+    @pytest.mark.parametrize(
+        "count",
+        [lambda rng: 1, lambda rng: rng.randint(2, 9), lambda rng: rng.choice((1, 1, 2, 5))],
+        ids=["all-ones", "all-repeated", "mixed"],
+    )
+    def test_count_mixes_on_padded_alphabets_match_naive_enumeration(self, count, monkeypatch):
+        rng = random.Random(808)
+        cells = [(log, 4) for log in self.logs(rng, 5, count)]
+        cells += [(log, 3) for log in self.logs(rng, 10, count)]
+        for _ in each_reduction(monkeypatch):
+            for (log, max_size), kind in itertools.product(cells, KINDS):
+                for size in range(1, max_size + 1):
+                    index = enumerate_candidates(log, KINDS[kind], size)
+                    oracle = naive_candidate_index(log, kind, size)
+                    assert_matches_oracle(index, oracle)
+                    # No candidate uses one of the table's padded columns.
+                    assert all(max(c.elements) < len(log.labels) for c in index.candidates())
+                    # Candidates matched only by count-1 variants have
+                    # entropy sums of exactly 0.
+                    for elements, ent in zip(sorted(oracle), index.entropy_sums()):
+                        if set(oracle[elements].values()) == {1}:
+                            assert ent == 0.0
 
 
 # Permutations of one another: every variant's set view is abc, and the three

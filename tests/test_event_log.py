@@ -26,6 +26,7 @@ from logprivacy import (
     trace_frequency,
 )
 from logprivacy.event_log import parse_timestamp
+from oracles import random_log
 
 
 def csv_stream(text: str) -> io.BytesIO:
@@ -231,6 +232,33 @@ class TestEventLogInvariants:
         assert hash(unsorted) == hash(sorted_ids)
         assert len({unsorted, sorted_ids}) == 1
         assert unsorted != EventLog.from_counts({("b", "a"): 2, ("a",): 1})
+
+    def test_equality_and_hash_ignore_id_assignment(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            log = random_log(rng)
+            perm = list(range(len(log.labels)))
+            rng.shuffle(perm)
+            labels = [""] * len(perm)
+            for a, label in enumerate(log.labels):
+                labels[perm[a]] = label
+            relabelled = EventLog(
+                [tuple(perm[a] for a in v) for v in log.variants], log.counts, labels
+            )
+            assert relabelled == log and log == relabelled
+            assert hash(relabelled) == hash(log)
+
+    def test_equality_compares_contents_past_the_summaries(self):
+        log = EventLog.from_counts({("a", "b"): 2, ("b",): 1})
+        assert log == log
+        assert log == EventLog.from_counts({("b",): 1, ("a", "b"): 2})
+        # Same number of variants, trace total and labels.
+        assert log != EventLog.from_counts({("b", "a"): 2, ("b",): 1})
+        assert log != EventLog.from_counts({("a", "b"): 1, ("b",): 2})
+        # One summary differs: number of variants, trace total, label set.
+        assert log != EventLog.from_counts({("a", "b"): 3})
+        assert log != EventLog.from_counts({("a", "b"): 2, ("b",): 2})
+        assert log != EventLog.from_counts({("a", "c"): 2, ("c",): 1})
 
 
 class TestFrequency:
