@@ -23,38 +23,47 @@ per-call next-occurrence table, and the successor for activity a is the
 first occurrence of a after it.  Variants whose views are equal stay
 separate rows, each adding its own trace count.
 
-A level is one vectorized step over the frontier for all activities at once,
-and rows that can no longer reach the requested size are dropped as they
-arise.  Candidates with different first activities have disjoint key ranges,
-so each first activity is grown on its own: its first level is read from the
-table's column at each view's start, and it is expanded depth first in
-chunks of a bounded number of rows, so the frontier's memory stays bounded
-however long the traces are.  The table is built once per call and not
-chunked: it holds one int32 for every event and every end of the views
-and every activity code, the alphabet rounded up to a power of two, so it
-grows with view events x alphabet.  On the benchmark's Sepsis-shaped log
-(16 activities) it takes 0.94 MB for subsequences and multisets and
-0.55 MB for sets; 100k variants of 50 events over 200 activities (256
-codes) would need about 5.2 GB.  The table is a function of the views
-alone, so building it per block of views is one call on a slice of them.
-Keys are fixed-width packed integers, split over several 63-bit words when
-the alphabet and size need more bits.
+A level is one vectorized step over the frontier for all activities at once.
+One pass serves every requested size of a type: the frontier grows up to the
+largest, and a row is dropped as soon as it cannot reach the smallest
+requested size still ahead of it.  Candidates with different first
+activities have disjoint key ranges, so each first activity is grown on its
+own: its first level is read from the table's column at each view's start,
+and it is expanded depth first in chunks of a bounded number of rows, so the
+frontier's memory stays bounded however long the traces are.  The table is
+built once per pass and not chunked: it holds one int32 for every event and
+every end of the views and every activity code, the alphabet rounded up to a
+power of two, so it grows with view events x alphabet.  On the benchmark's
+Sepsis-shaped log (16 activities) it takes 0.94 MB for subsequences and
+multisets and 0.55 MB for sets; 100k variants of 50 events over 200
+activities (256 codes) would need about 5.2 GB.  The table is a function of
+the views alone, so building it per block of views is one call on a slice of
+them.  Keys are fixed-width packed integers, split over several 63-bit words
+when the alphabet and size need more bits; a row's key at a level is the key
+of its candidate of that size.
 
-Only the last level is reduced, straight to each candidate's cardinality and
-entropy sum.  When a key fits one word, a first activity's keys differ only
-in the bits below it; if those span at most ``_DENSE_SPAN`` values (2**20:
-up to 16 activities at size 6), they are summed into dense bins over that
-span, and no leaf row is built.  Each chunk of rows one level short is
-turned straight into its leaves' bins: a leaf's cell in the chunk's table
-block is ``row << bits | activity``, so its bin is that cell plus an offset
-of its row.  A variant that occurs once adds exactly 1 to a cardinality and
-0 to an entropy sum, so the rows of such variants are split off before they
-grow and their leaves tallied by an unweighted ``np.bincount``; only
-repeated variants' leaves are weighted.  The held bins are summed whenever
-they fill the span, and the non-empty bins are the candidates in canonical
-order.  Wider alphabets, larger sizes and multi-word keys build their leaf
-rows, without successor positions, and sort them with the keys so far once
-they outnumber both those keys and ``_FRONTIER_CAP``.
+Every requested level is reduced during the pass, straight to each
+candidate's cardinality and entropy sum, by a reduction of its own that
+keeps its own buffer, its own cap count and its own finished parts.  When a
+key fits one word, a first activity's keys differ only in the bits below it;
+if those span at most ``_DENSE_SPAN`` values (2**20: up to 16 activities at
+size 6), they are summed into dense bins over that span.  A requested level
+short of the largest bins its rows, which the pass builds anyway.  The
+largest level builds no leaf row: each chunk of rows one level short is
+turned straight into its leaves' bins, since a leaf's cell in the chunk's
+table block is ``row << bits | activity``, so its bin is that cell plus an
+offset of its row.  A variant that occurs once adds exactly 1 to a
+cardinality and 0 to an entropy sum, so the rows of such variants are split
+off and tallied by an unweighted ``np.bincount``; only repeated variants'
+rows are weighted.  The held bins are summed whenever they fill the span, and
+the non-empty bins are the candidates in canonical order.  Wider alphabets,
+larger sizes and multi-word keys hold their rows as keys (the largest level
+builds them without successor positions) and sort them with the keys so far
+once they outnumber both those keys and ``_FRONTIER_CAP``.  Dense bins or
+sorting is chosen per size, so one pass may use both.  A size whose
+candidates exceed the cap stops its own reduction; the others finish.  Each
+size's parts are joined at the end into arrays allocated at its final
+count, each part released once copied.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -64,10 +73,12 @@ callers that need a candidate's matching traces get them from
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -79,8 +90,8 @@ DEFAULT_CANDIDATE_CAP = 50_000_000
 # Frontier states examined by one expansion step; bounds its transient memory.
 _FRONTIER_CAP = 1 << 18
 
-# The most keys a first activity's last level may span and still be reduced
-# into dense bins: two float64 arrays of this length, 16 MB.
+# The most keys a size's candidates under one first activity may span and
+# still be reduced into dense bins: two float64 arrays of this length, 16 MB.
 _DENSE_SPAN = _FRONTIER_CAP << 2
 
 
@@ -185,20 +196,26 @@ class CandidateIndex:
     def candidate_count(self) -> int:
         return len(self._cards)
 
-    def _elements(self, pos: int) -> list[int]:
-        """The activity ids of the candidate at ``pos``, decoded from its key."""
+    def _element_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The activity ids of the candidates, one row each, decoded from the keys.
+
+        Yields (first position, ids) for blocks of at most 65,536 candidates.
+        """
         mask = (1 << self._bits) - 1
         per_word = 63 // self._bits
-        elements = []
-        for w, column in enumerate(self._words):
-            n = min(per_word, self.size - w * per_word)
-            word = int(column[pos])
-            elements.extend((word >> (self._bits * (n - 1 - i))) & mask for i in range(n))
-        return elements
+        step = 1 << 16
+        for lo in range(0, self.candidate_count, step):
+            columns = []
+            for w, word in enumerate(self._words):
+                n = min(per_word, self.size - w * per_word)
+                word = word[lo : lo + step]
+                columns += [(word >> (self._bits * (n - 1 - i))) & mask for i in range(n)]
+            yield lo, np.stack(columns, axis=1)
 
     def candidates(self) -> Iterator[Candidate]:
-        for pos in range(self.candidate_count):
-            yield Candidate(self.bk_type, tuple(self._elements(pos)))
+        for _, block in self._element_blocks():
+            for elements in block.tolist():
+                yield Candidate(self.bk_type, tuple(elements))
 
     def cardinalities(self) -> np.ndarray:
         """Multiplicity-weighted projection size per candidate, canonical order."""
@@ -216,8 +233,25 @@ class CandidateIndex:
         """
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(("candidate", "cardinality"))
-        for pos, card in enumerate(self._cards):
-            writer.writerow(("|".join(self._labels[a] for a in self._elements(pos)), int(card)))
+        # Each label as the csv module writes it; a name with a quoted label
+        # is quoted whole, its inner quotes doubled.
+        cells = []
+        for label in self._labels:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow((label, ""))
+            cells.append(buf.getvalue()[: -len(",\n")])
+        quoted = np.array([c != label for c, label in zip(cells, self._labels)], dtype=bool)
+        inner = [c[1:-1] if q else c for c, q in zip(cells, quoted)]
+        first = np.array(inner, dtype=object)
+        later = np.array(["|" + c for c in inner], dtype=object)
+        for lo, part in self._element_blocks():
+            name = first[part[:, 0]]
+            for column in part.T[1:]:
+                name = name + later[column]
+            wrap = quoted[part].any(axis=1)
+            name[wrap] = '"' + name[wrap] + '"'
+            cards = self._cards[lo : lo + len(part)].tolist()
+            out.writelines(f"{n},{c}\n" for n, c in zip(name.tolist(), cards))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -276,176 +310,288 @@ def _concat(parts):
     )
 
 
+class _Reduction:
+    """The candidates of one requested size, reduced while the pass runs.
+
+    Leaves that reach ``size`` are held until they reach a limit, then folded
+    into ``acc``: dense bins over a first activity's key span, or that first
+    activity's sorted (key words, cardinalities, entropy sums).  Each first
+    activity's candidates become one part, and the parts are joined once the
+    pass ends.  Past ``cap`` distinct candidates the reduction stops and
+    ``error`` holds the :class:`CandidateLimitError`.
+    """
+
+    def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights):
+        self.bk_type, self.size, self.cap = bk_type, size, cap
+        self.weights = weights  # each variant's trace count and count * log2 count
+        self.n_words = -(-size // (63 // bits))
+        # In one key word, a first activity's keys differ only in the low
+        # ``shift`` bits below it, so they fit a span of dense bins.
+        self.shift = bits * (size - 1)
+        self.span = 1 << self.shift
+        self.dense = self.n_words == 1 and self.span <= _DENSE_SPAN
+        # The dense bins serve the whole pass; each first activity clears
+        # those it filled.
+        self.acc = [np.zeros(self.span), np.zeros(self.span)] if self.dense else None
+        self.leaves, self.ones, self.held, self.opened = [], [], 0, False
+        self.parts, self.found, self.error = [], 0, None
+
+    def hold(self, words: list[np.ndarray], variant: np.ndarray, ones=None) -> None:
+        """Hold leaves as key words and the variant each comes from.
+
+        Dense leaves hold only their bin for a key, and ``ones`` the bins of
+        count-1 variants' leaves, which add 1 to a cardinality and 0 to an
+        entropy sum.  The held leaves are reduced once they reach the span
+        for dense bins, so a first activity costs O(rows + span), else the
+        keys so far, at least ``_FRONTIER_CAP``, so each row is grouped
+        O(log n) times.
+        """
+        self.opened = True
+        self.leaves.append((words, variant))
+        self.held += len(variant)
+        if ones is not None:
+            self.ones.append(ones)
+            self.held += len(ones)
+        limit = self.span if self.dense else max(_FRONTIER_CAP, len(self.acc[1]) if self.acc else 0)
+        if self.held >= limit:
+            self.reduce()
+
+    def hold_rows(self, words: list[np.ndarray], variant: np.ndarray, unit: np.ndarray) -> None:
+        """Hold frontier rows that end at this size; dense ones split by ``unit`` counts."""
+        if not self.dense:
+            return self.hold(words[: self.n_words], variant)
+        one = unit[variant]
+        bins = words[0] & (self.span - 1)
+        self.hold([bins[~one]], variant[~one], bins[one])
+
+    def reduce(self) -> None:
+        """Fold the held leaves into ``acc``."""
+        words = [np.concatenate(column) for column in zip(*(k for k, _ in self.leaves))]
+        variant = np.concatenate([v for _, v in self.leaves])
+        self.leaves, self.held = [], 0
+        counts, clog = self.weights
+        if self.dense:
+            self.acc[0] += np.bincount(np.concatenate(self.ones), minlength=self.span)
+            self.ones = []
+            if len(variant):
+                for b, x in zip(self.acc, (counts, clog)):
+                    b += np.bincount(words[0], weights=x[variant], minlength=self.span)
+            return
+        rows = (words, counts[variant], clog[variant])
+        self.acc = _group(*(rows if self.acc is None else _concat([self.acc, rows])))
+        self.check(self.found + len(self.acc[1]))
+
+    def check(self, count: int) -> None:
+        if count > self.cap:
+            self.error = CandidateLimitError(self.bk_type, self.size, count=count, cap=self.cap)
+            self.acc, self.leaves, self.ones, self.parts = None, [], [], []
+
+    def close(self, a: int) -> None:
+        """End first activity ``a``: its candidates become one part."""
+        if not self.opened:
+            return
+        self.opened = False
+        if self.leaves:
+            self.reduce()
+        if self.error is not None:
+            return
+        if self.dense:
+            present = np.flatnonzero(self.acc[0] > 0)
+            part = ([present | a << self.shift], *(b[present] for b in self.acc))
+            for b in self.acc:
+                b[present] = 0
+        else:
+            part, self.acc = self.acc, None
+        self.parts.append((part[0], part[1].astype(np.int64), part[2]))
+        self.found += len(part[1])
+        self.check(self.found)
+
+    def index(self, labels: Sequence[str], bits: int) -> CandidateIndex:
+        """Join the parts into arrays of the final length, releasing each once copied."""
+        words = [np.empty(self.found, dtype=np.int64) for _ in range(self.n_words)]
+        cards, ents = np.empty(self.found, dtype=np.int64), np.empty(self.found)
+        parts, self.parts = self.parts[::-1], []
+        at = 0
+        while parts:
+            keys, part_cards, part_ents = parts.pop()
+            stop = at + len(part_cards)
+            for column, key in zip(words, keys):
+                column[at:stop] = key
+            cards[at:stop], ents[at:stop] = part_cards, part_ents
+            at = stop
+        return CandidateIndex(labels, self.bk_type, self.size, words, bits, cards, ents)
+
+
 def enumerate_candidates(
     log: EventLog,
     bk_type: BkType,
-    size: int,
+    sizes: int | Iterable[int],
     cap: int = DEFAULT_CANDIDATE_CAP,
-) -> CandidateIndex:
-    """Build the index of all size-``size`` candidates with matching traces.
+) -> CandidateIndex | dict[int, CandidateIndex | CandidateLimitError]:
+    """Build the index of all candidates of each requested size with matching traces.
 
     The frontier grows one activity per level inside each variant's view
     for ``bk_type`` (see the module docstring), so only candidates with
     non-empty projections are produced, and each variant reaches each of its
-    candidates exactly once and adds its full trace count to it.  Each first
-    activity is seeded from its column of the next-occurrence table, then
-    expanded depth first in chunks of a bounded number of rows and reduced
-    on its own; only size ``size`` is reduced to per-candidate
-    cardinalities and entropy sums.  When the first activity's keys span at
-    most ``_DENSE_SPAN`` values of one key word, each chunk one level short
-    of ``size`` is turned straight into its leaves' bin indices, with
-    count-1 variants tallied apart from repeated ones, and summed into
-    dense bins; otherwise the leaves are built as key rows and sorted a
-    buffer at a time.  Which one runs depends only on the alphabet's width
-    and ``size``.
-    Exceeding ``cap`` distinct candidates aborts with
-    :class:`CandidateLimitError` rather than returning a partial index.
+    candidates exactly once and adds its full trace count to it.  One pass
+    grows the frontier up to the largest size, and each requested size is
+    reduced to per-candidate cardinalities and entropy sums as the frontier
+    reaches it.  Each first activity is seeded from its column of the
+    next-occurrence table, then expanded depth first in chunks of a bounded
+    number of rows; a row is dropped once it cannot reach the smallest
+    requested size still ahead of it.  A requested level short of the
+    largest is reduced from its rows as they are built.  The largest is
+    reduced from the chunks one level short of it: when the first activity's
+    keys span at most ``_DENSE_SPAN`` values of one key word, each such chunk
+    is turned straight into its leaves' bin indices, with count-1 variants
+    tallied apart from repeated ones, and summed into dense bins; otherwise
+    its leaves are built as key rows and sorted a buffer at a time.  Dense
+    bins or sorting is chosen for each size from the alphabet's width and
+    the size alone, so one pass may use both.
+
+    ``sizes`` is one size or a collection of them.  For one size the index
+    is returned, and more than ``cap`` distinct candidates raise
+    :class:`CandidateLimitError` rather than return a partial index.  For a
+    collection a dict maps each distinct size, ascending, to its index or,
+    past ``cap``, to its :class:`CandidateLimitError`; a size over the cap
+    stops its own reduction, and the other sizes still finish.
     """
-    if size < 1:
+    single = isinstance(sizes, numbers.Integral)
+    wanted = sorted({int(s) for s in ((sizes,) if single else sizes)})
+    if not wanted:
+        raise ValueError("at least one candidate size is required")
+    if wanted[0] < 1:
         raise ValueError("candidate size must be >= 1")
     if cap < 1:
         raise ValueError("candidate cap must be >= 1")
 
     n_labels = len(log.labels)
     bits = max(1, (n_labels - 1).bit_length())
-    per_word = 63 // bits
-    n_words = -(-size // per_word)
     # One table column per ``bits``-bit activity code, so the cell of row r
     # and activity a in a block of rows is ``r << bits | a``.
     nxt, ends, starts = _next_occurrence(
         [_view(bk_type, v) for v in log.variants], n_labels, 1 << bits
     )
     counts = np.asarray(log.counts, dtype=np.float64)
-    clog = counts * np.log2(counts)
     unit = counts == 1
+    weights = (counts, counts * np.log2(counts))
+    reductions = [_Reduction(bk_type, size, bits, cap, weights) for size in wanted]
     # Rows per expansion step.  Their table block is padded to a power of
     # two wide, so it holds at most ``2 * _FRONTIER_CAP`` cells.
     chunk = max(1, _FRONTIER_CAP // n_labels)
-    # In one key word, a first activity's keys differ only in the low
-    # ``shift`` bits below it, so they fit a span of dense bins.
-    shift = bits * (size - 1)
-    span = 1 << shift
-    dense = n_words == 1 and span <= _DENSE_SPAN
+
+    def plan():
+        """The reductions still running, by size, and the room each level's children need.
+
+        ``room[level]`` is how many events a child of a row at ``level``
+        must leave after it to reach the smallest running size beyond
+        ``level``, so the list is as long as the largest running size.
+        """
+        live = {r.size: r for r in reductions if r.error is None}
+        deepest = max(live, default=0)
+        room = [min(s for s in live if s > level) - level - 1 for level in range(deepest)]
+        return live, room
 
     def children(level: int, variant: np.ndarray, pos: np.ndarray):
         """The table block of the given rows at ``level``, and their children's cells in it."""
         succ = nxt[pos]
-        # The chosen event must leave room for the elements still to add.
-        return succ, np.flatnonzero(succ < (ends[variant] - (size - level - 1))[:, None])
+        return succ, np.flatnonzero(succ < (ends[variant] - room[level])[:, None])
 
     def expand(level: int, variant: np.ndarray, pos: np.ndarray, words: list[np.ndarray]):
         """The frontier rows one level deeper than the given rows at ``level``.
 
-        Rows at ``size`` get no successor positions: nothing grows from them.
+        Rows at the largest size get no successor positions: nothing grows
+        from them.
         """
         succ, flat = children(level, variant, pos)
         parent = flat >> bits
         words = [w[parent] for w in words]
-        w = level // per_word
+        w = level // (63 // bits)
         words[w] <<= bits
         words[w] |= flat & ((1 << bits) - 1)
-        pos = succ.ravel()[flat] + 1 if level + 1 < size else None
+        pos = succ.ravel()[flat] + 1 if level + 1 < len(room) else None
         return variant[parent], pos, words
 
-    def bin_leaves(level: int, variant: np.ndarray, pos: np.ndarray, key: np.ndarray):
+    def bin_leaves(level: int, variant: np.ndarray, pos: np.ndarray, key: np.ndarray, span: int):
         """The dense bin of each leaf below the given rows, and the row it grows from.
 
-        A bin is a leaf key's low ``shift`` bits: its row's key shifted up by
-        ``bits``, or'ed with its activity.  The leaf's cell in the block is
-        ``row << bits | activity``, so its bin is the cell plus ``off[row]``.
-        Size-1 seed rows are their own leaves.
+        A bin is a leaf key's low bits below its first activity: its row's
+        key shifted up by ``bits``, or'ed with its activity.  The leaf's cell
+        in the block is ``row << bits | activity``, so its bin is the cell
+        plus ``off[row]``.
         """
-        if level == size:
-            return key & (span - 1), np.arange(len(key))
         flat = children(level, variant, pos)[1]
         parent = flat >> bits
         off = ((key << bits) & (span - 1)) - (np.arange(len(key)) << bits)
         return flat + off[parent], parent
 
-    def check_cap(count: int) -> None:
-        if count > cap:
-            raise CandidateLimitError(bk_type, size, count=count, cap=cap)
-
-    def reduce(leaves: list, ones: list, acc):
-        """Fold (key words, variant) rows into the key bins or grouped aggregates ``acc``.
-
-        Dense leaves hold only their bin for a key, and ``ones`` the bins of
-        count-1 variants' leaves, which add 1 to a cardinality and 0 to an
-        entropy sum.
-        """
-        words = [np.concatenate(column) for column in zip(*(k for k, _ in leaves))]
-        variant = np.concatenate([v for _, v in leaves])
-        if dense:
-            acc[0] += np.bincount(np.concatenate(ones), minlength=span)
-            if len(variant):
-                for b, x in zip(acc, (counts, clog)):
-                    b += np.bincount(words[0], weights=x[variant], minlength=span)
-            return acc
-        rows = (words, counts[variant], clog[variant])
-        acc = _group(*(rows if acc is None else _concat([acc, rows])))
-        check_cap(found + len(acc[1]))
-        return acc
+    def reach(level: int, variant: np.ndarray, pos, words: list[np.ndarray]) -> None:
+        """Hold rows that end at a requested size, and stack those that grow on."""
+        nonlocal live, room
+        if level in live:
+            live[level].hold_rows(words, variant, unit)
+            if live[level].error is not None:
+                live, room = plan()
+            if level < len(room):
+                # Their own level asked no room of them; the next size does.
+                keep = np.flatnonzero(pos < ends[variant] - room[level])
+                variant, pos, words = variant[keep], pos[keep], [w[keep] for w in words]
+        if level < len(room) and len(variant):
+            stack.append((level, variant, pos, words))
 
     # Candidates with different first activities have disjoint key ranges,
     # so each first activity is grown and reduced on its own, in ascending
     # order.  Its rows are the views whose first occurrence of it leaves
-    # room for the rest of the candidate.
-    results = [([np.zeros(0, dtype=np.int64)] * n_words, np.zeros(0, dtype=np.int64), np.zeros(0))]
-    # The dense bins; each first activity clears those it filled.
-    tally = [np.zeros(span), np.zeros(span)] if dense else None
-    found = 0
+    # room for the rest of the smallest requested candidate.
     for a in range(n_labels):
+        live, room = plan()
+        if not live:
+            break
         first = nxt[starts, a]
-        variant = np.flatnonzero(first < ends - (size - 1))
+        variant = np.flatnonzero(first < ends - room[0])
         if not len(variant):
             continue
         words = [np.full(len(variant), a, dtype=np.int64)]
-        words += [np.zeros(len(variant), dtype=np.int64)] * (n_words - 1)
-        stack = [(1, variant, first[variant] + 1, words)]
+        words += [np.zeros(len(variant), dtype=np.int64)] * (live[len(room)].n_words - 1)
+        stack = []
+        reach(1, variant, first[variant] + 1, words)
         # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  The leaves below a chunk at ``size - 1`` are held
-        # until they reach a limit, then reduced into ``acc``: the span for
-        # dense bins, so a first activity costs O(rows + span), else the keys
-        # so far, at least ``_FRONTIER_CAP``, so each row is grouped O(log n)
-        # times.  Dense leaves are held as bins, split by their variant's
-        # count before they are grown, and only repeated variants' leaves
-        # keep a variant to weight them by.
-        acc = tally if dense else None
-        leaves, ones, held = [], [], 0
+        # is expanded.  Rows that reach a requested size short of the largest
+        # are held as they are built; below a chunk one level short of the
+        # largest, only the leaves are held.  A size that exceeds the cap
+        # drops out of the plan, and the rows that only led to it are skipped.
         while stack:
             level, variant, pos, words = stack.pop()
-            if level < size and len(variant) > chunk:
+            if level >= len(room):
+                continue
+            if len(variant) > chunk:
                 stack.append((level, variant[chunk:], pos[chunk:], [w[chunk:] for w in words]))
                 variant, pos, words = variant[:chunk], pos[:chunk], [w[:chunk] for w in words]
-            if level + 1 < size:
-                variant, pos, words = expand(level, variant, pos, words)
-                if len(variant):
-                    stack.append((level + 1, variant, pos, words))
+            if level + 1 < len(room):
+                reach(level + 1, *expand(level, variant, pos, words))
                 continue
-            if dense:
+            last = live[level + 1]
+            if last.dense:
                 one = unit[variant]
-                ones.append(bin_leaves(level, variant[one], pos[one], words[0][one])[0])
-                held += len(ones[-1])
+                ones = bin_leaves(level, variant[one], pos[one], words[0][one], last.span)[0]
                 many = ~one
-                bins, parent = bin_leaves(level, variant[many], pos[many], words[0][many])
-                variant, words = variant[many][parent], [bins]
-            elif level < size:
+                bins, parent = bin_leaves(
+                    level, variant[many], pos[many], words[0][many], last.span
+                )
+                last.hold([bins], variant[many][parent], ones)
+            else:
                 variant, _, words = expand(level, variant, pos, words)
-            leaves.append((words, variant))
-            held += len(variant)
-            if held >= (span if dense else max(_FRONTIER_CAP, len(acc[1]) if acc else 0)):
-                acc, leaves, ones, held = reduce(leaves, ones, acc), [], [], 0
-        if leaves:
-            acc = reduce(leaves, ones, acc)
-        if dense:
-            present = np.flatnonzero(acc[0] > 0)
-            acc = ([present | a << shift], *(b[present] for b in acc))
-            for b in tally:
-                b[present] = 0
-        results.append((acc[0], acc[1].astype(np.int64), acc[2]))
-        found += len(acc[1])
-        check_cap(found)
+                last.hold(words[: last.n_words], variant)
+            if last.error is not None:
+                live, room = plan()
+        for r in live.values():
+            r.close(a)
 
-    del tally  # not held while the index is joined
-    words, cards, ents = _concat(results)
-    return CandidateIndex(log.labels, bk_type, size, words, bits, cards, ents)
+    for r in reductions:
+        r.acc = None  # the dense bins are not held while the indices are joined
+    found = {r.size: r.index(log.labels, bits) if r.error is None else r.error for r in reductions}
+    if not single:
+        return found
+    if isinstance(found[wanted[0]], CandidateLimitError):
+        raise found[wanted[0]]
+    return found[wanted[0]]

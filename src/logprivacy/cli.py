@@ -247,10 +247,13 @@ def _cmd_risk(args) -> int:
     if args.dump_candidates:
         dump_dir = Path(args.dump_candidates)
         dump_dir.mkdir(parents=True, exist_ok=True)
-        for bk_type, size in profile.scores:
-            index = enumerate_candidates(log, bk_type, size, cap=args.cap)
-            with open(dump_dir / f"candidates_{bk_type.value}_{size}.csv", "w") as fh:
-                index.write_csv(fh)
+        for bk_type in args.types:
+            sizes = [size for t, size in profile.scores if t is bk_type]
+            if not sizes:
+                continue
+            for size, index in enumerate_candidates(log, bk_type, sizes, cap=args.cap).items():
+                with open(dump_dir / f"candidates_{bk_type.value}_{size}.csv", "w") as fh:
+                    index.write_csv(fh)
     cells, skipped, failures = _cells_payload(profile)
     results = {
         "aggregation": args.aggregation.value,
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_risk)
     p_risk.add_argument("--dump-candidates", default=None, metavar="DIR",
                         help="debug: write per-cell candidate,cardinality CSVs "
-                             "(re-enumerates each successful cell)")
+                             "(enumerates each type once more, over its scored sizes)")
     p_risk.set_defaults(func=_cmd_risk)
 
     p_util = commands.add_parser("utility", help="earth mover's distance between two logs")

@@ -65,13 +65,16 @@ def case_disclosure(index: CandidateIndex, aggregation: Aggregation = Aggregatio
 
 
 def _normalized_entropy_ratios(index: CandidateIndex) -> np.ndarray:
+    # In place over two float arrays of the index's length.
     card = index.cardinalities().astype(np.float64)
-    max_ent = np.log2(card)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = max_ent - index.entropy_sums() / card
-        ratio = np.where(card > 1, ent / max_ent, 0.0)
+    repeated = card > 1
+    ent = index.entropy_sums() / card
+    max_ent = np.log2(card, out=card)
+    np.subtract(max_ent, ent, out=ent)
+    ratio = np.divide(ent, max_ent, out=ent, where=repeated)
+    ratio[~repeated] = 0.0
     # Guard float noise; a ratio outside [0, 1] is meaningless.
-    return np.clip(ratio, 0.0, 1.0)
+    return np.clip(ratio, 0.0, 1.0, out=ratio)
 
 
 def trace_disclosure(index: CandidateIndex, aggregation: Aggregation = Aggregation.AVERAGE) -> float:
@@ -97,8 +100,9 @@ def risk_profile(
 ) -> RiskProfile:
     """Compute one RiskScore per (type, size) cell of the requested grid.
 
-    Cells whose enumeration hits the candidate cap are recorded in
-    ``failures`` with the error text; the remaining cells are still computed.
+    Each type is enumerated in one pass over all requested sizes.  Cells
+    whose enumeration hits the candidate cap are recorded in ``failures``
+    with the error text; the remaining cells are still computed.
     """
     type_list = list(types)
     size_list = list(sizes)
@@ -110,21 +114,24 @@ def risk_profile(
     skipped: dict[tuple[BkType, int], str] = {}
     failures: dict[tuple[BkType, int], str] = {}
     for bk_type in type_list:
+        found = enumerate_candidates(log, bk_type, size_list, cap=cap)
         for size in size_list:
-            try:
-                index = enumerate_candidates(log, bk_type, size, cap=cap)
-            except CandidateLimitError as exc:
-                failures[(bk_type, size)] = str(exc)
+            # Each size's index is released once scored; a repeated size
+            # keeps its first place in grid order.
+            index = found.pop(size, None)
+            if index is None:
                 continue
-            if index.candidate_count == 0:
+            if isinstance(index, CandidateLimitError):
+                failures[(bk_type, size)] = str(index)
+            elif index.candidate_count == 0:
                 skipped[(bk_type, size)] = "no candidates at this size"
-                continue
-            scores[(bk_type, size)] = RiskScore(
-                bk_type=bk_type,
-                size=size,
-                cd=case_disclosure(index, aggregation),
-                td=trace_disclosure(index, aggregation),
-                n_candidates=index.candidate_count,
-                aggregation=aggregation,
-            )
+            else:
+                scores[(bk_type, size)] = RiskScore(
+                    bk_type=bk_type,
+                    size=size,
+                    cd=case_disclosure(index, aggregation),
+                    td=trace_disclosure(index, aggregation),
+                    n_candidates=index.candidate_count,
+                    aggregation=aggregation,
+                )
     return RiskProfile(scores=scores, skipped=skipped, failures=failures)

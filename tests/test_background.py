@@ -334,6 +334,88 @@ class TestUnitCounts:
                             assert ent == 0.0
 
 
+def assert_same_index(got, expected) -> None:
+    """Two indices of one cell: equal keys and cardinalities, entropy sums up to summation order."""
+    assert (got.bk_type, got.size) == (expected.bk_type, expected.size)
+    assert list(got.candidates()) == list(expected.candidates())
+    assert got.cardinalities().dtype == expected.cardinalities().dtype
+    assert np.array_equal(got.cardinalities(), expected.cardinalities())
+    np.testing.assert_allclose(got.entropy_sums(), expected.entropy_sums(), rtol=1e-12, atol=0)
+
+
+class TestMultiSize:
+    """One pass over several sizes gives each size the index of its own call."""
+
+    @staticmethod
+    def logs(seed: int, min_len: int = 4, max_len: int = 8):
+        rng = random.Random(seed)
+        return [
+            random_log(rng, max_variants=6, min_alphabet=3, max_alphabet=5, min_len=min_len, max_len=max_len)
+            for _ in range(5)
+        ]
+
+    def test_sizes_match_single_size_calls_and_naive_enumeration(self, monkeypatch):
+        logs = self.logs(909)
+        for _ in each_reduction(monkeypatch):
+            for log, kind in itertools.product(logs, KINDS):
+                above = max(map(len, log.variants)) + 1
+                for sizes in ({2, 5}, [3, 1, 3, 2], [above, 1]):
+                    found = enumerate_candidates(log, KINDS[kind], sizes)
+                    assert list(found) == sorted(set(sizes))
+                    for size, index in found.items():
+                        assert_same_index(index, enumerate_candidates(log, KINDS[kind], size))
+                        if size < above:
+                            assert_matches_oracle(index, naive_candidate_index(log, kind, size))
+                        else:  # no trace is that long
+                            assert index.candidate_count == 0
+
+    def test_one_pass_mixes_dense_and_sorted_sizes(self, monkeypatch):
+        # Five to eight activities take 3 key bits, so with at most 64 dense
+        # bins sizes 1-3 are binned and sizes 4-5 sorted in the same pass.
+        monkeypatch.setattr(bg, "_DENSE_SPAN", 64)
+        logs = TestUnitCounts.logs(random.Random(910), 6, lambda rng: rng.choice((1, 1, 2, 5)))
+        for log, kind in itertools.product(logs, KINDS):
+            assert (len(log.labels) - 1).bit_length() == 3
+            found = enumerate_candidates(log, KINDS[kind], range(1, 6))
+            for size, index in found.items():
+                assert_same_index(index, enumerate_candidates(log, KINDS[kind], size))
+                assert_matches_oracle(index, naive_candidate_index(log, kind, size))
+
+    def test_cap_between_sizes_fails_only_the_larger(self, monkeypatch):
+        # At a cap of exactly the size-4 count, size 5 alone is over it.  On
+        # these long traces that holds for most sequence and multiset cells.
+        logs = self.logs(911, min_len=9, max_len=12)
+        checked = 0
+        for _ in each_reduction(monkeypatch):
+            for log, kind in itertools.product(logs, KINDS):
+                single = {size: enumerate_candidates(log, KINDS[kind], size) for size in range(1, 6)}
+                cap = single[4].candidate_count
+                if single[5].candidate_count <= cap:
+                    continue
+                found = enumerate_candidates(log, KINDS[kind], range(1, 6), cap=cap)
+                err = found[5]
+                assert isinstance(err, CandidateLimitError)
+                assert (err.bk_type, err.size, err.cap) == (KINDS[kind], 5, cap)
+                assert err.count > cap
+                for size in range(1, 5):
+                    assert_same_index(found[size], single[size])
+                with pytest.raises(CandidateLimitError):
+                    enumerate_candidates(log, KINDS[kind], 5, cap=cap)
+                checked += 1
+        assert checked >= 30
+
+    def test_one_size_and_collections_of_sizes(self, example1_log):
+        index = enumerate_candidates(example1_log, BkType.SET, 2)
+        assert_same_index(enumerate_candidates(example1_log, BkType.SET, [2])[2], index)
+        assert_same_index(enumerate_candidates(example1_log, BkType.SET, np.int64(2)), index)
+        with pytest.raises(CandidateLimitError):
+            enumerate_candidates(example1_log, BkType.SET, 2, cap=3)
+        assert isinstance(enumerate_candidates(example1_log, BkType.SET, (2,), cap=3)[2], CandidateLimitError)
+        for sizes in ([], [0, 1], 0):
+            with pytest.raises(ValueError):
+                enumerate_candidates(example1_log, BkType.SET, sizes)
+
+
 # Permutations of one another: every variant's set view is abc, and the three
 # of four events share the multiset view abbc, yet each must add its own count.
 PERMUTED_VARIANTS = {"abcb": 1, "bcba": 2, "cbab": 3, "abc": 4}

@@ -139,6 +139,19 @@ class TestRiskProfile:
         with pytest.raises(ValueError):
             risk_profile(example1_log, [BkType.SET], [0])
 
+    def test_grid_order_follows_the_sizes_as_given(self):
+        # Size 3: four sequences, no set.  Size 1: two of each.
+        log = EventLog.from_counts({("a", "b", "a", "b"): 2, ("b", "a"): 1})
+        seq, set_ = BkType.SEQUENCE, BkType.SET
+        profile = risk_profile(log, [seq, set_], [3, 1])
+        assert list(profile.scores) == [(seq, 3), (seq, 1), (set_, 1)]
+        assert list(profile.skipped) == [(set_, 3)]
+        assert profile.scores == risk_profile(log, [seq, set_], [1, 3]).scores
+        assert list(risk_profile(log, [seq, set_], [3, 1, 3]).scores) == list(profile.scores)
+        capped = risk_profile(log, [seq, set_], [3, 1], cap=1)
+        assert list(capped.failures) == [(seq, 3), (seq, 1), (set_, 1)]
+        assert list(capped.skipped) == [(set_, 3)]
+
     def test_scores_carry_grid_metadata(self, example1_log):
         profile = risk_profile(
             example1_log, [BkType.MULTISET], [2], aggregation=Aggregation.WORST
