@@ -17,11 +17,14 @@ the candidate.
 Enumeration never ranges over the full activity alphabet.  It grows a
 frontier of partial candidates inside the variants' views, one activity per
 level, so only candidates with a non-empty projection are ever produced.  A
-frontier row is (variant, position, packed key), and every candidate a view
-contains is reached from it along exactly one path: the position indexes a
-per-call next-occurrence table, and the successor for activity a is the
-first occurrence of a after it.  Variants whose views are equal stay
-separate rows, each adding its own trace count.
+frontier row is (position, packed key), and every candidate a view contains
+is reached from it along exactly one path: the position indexes a per-call
+next-occurrence table, and the successor for activity a is the first
+occurrence of a after it.  The position also names the row's view: arrays
+built beside the table give each table row its view's end row, its trace
+count, count * log2 count and whether the count is 1, 21 bytes per table row
+(the end in the table's int32 dtype, two float64 and a bool).  Variants
+whose views are equal stay separate rows, each adding its own trace count.
 
 A level is one vectorized step over the frontier for all activities at once.
 One pass serves every requested size of a type: the frontier grows up to the
@@ -35,12 +38,13 @@ built once per pass and not chunked: it holds one int32 for every event and
 every end of the views and every activity code, the alphabet rounded up to a
 power of two, so it grows with view events x alphabet.  On the benchmark's
 Sepsis-shaped log (16 activities) it takes 0.94 MB for subsequences and
-multisets and 0.55 MB for sets; 100k variants of 50 events over 200
-activities (256 codes) would need about 5.2 GB.  The table is a function of
-the views alone, so building it per block of views is one call on a slice of
-them.  Keys are fixed-width packed integers, split over several 63-bit words
-when the alphabet and size need more bits; a row's key at a level is the key
-of its candidate of that size.
+multisets and 0.55 MB for sets, and the arrays beside it 0.31 MB and
+0.18 MB; 100k variants of 50 events over 200 activities (256 codes) would
+need about 5.2 GB.  The table is a function of the views alone, so building
+it per block of views is one call on a slice of them.  Keys are fixed-width packed integers, split over several 63-bit words
+when the alphabet and size need more bits, and held as one (rows, words)
+int64 array by the frontier, the reductions and the index alike; a row's key
+at a level is the key of its candidate of that size.
 
 Every requested level is reduced during the pass, straight to each
 candidate's cardinality and entropy sum, by a reduction of its own that
@@ -48,7 +52,7 @@ keeps its own buffer, its own cap count and its own finished parts.  When a
 key fits one word, a first activity's keys differ only in the bits below it;
 if those span at most ``_DENSE_SPAN`` values (2**20: up to 16 activities at
 size 6), they are summed into dense bins over that span.  A requested level
-short of the largest bins its rows, which the pass builds anyway.  The
+short of the largest bins its rows, which the pass builds anyway.  A dense
 largest level builds no leaf row: each chunk of rows one level short is
 turned straight into its leaves' bins, since a leaf's cell in the chunk's
 table block is ``row << bits | activity``, so its bin is that cell plus an
@@ -57,13 +61,12 @@ cardinality and 0 to an entropy sum, so the rows of such variants are split
 off and tallied by an unweighted ``np.bincount``; only repeated variants'
 rows are weighted.  The held bins are summed whenever they fill the span, and
 the non-empty bins are the candidates in canonical order.  Wider alphabets,
-larger sizes and multi-word keys hold their rows as keys (the largest level
-builds them without successor positions) and sort them with the keys so far
-once they outnumber both those keys and ``_FRONTIER_CAP``.  Dense bins or
-sorting is chosen per size, so one pass may use both.  A size whose
-candidates exceed the cap stops its own reduction; the others finish.  Each
-size's parts are joined at the end into arrays allocated at its final
-count, each part released once copied.
+larger sizes and multi-word keys hold their rows as keys, the largest level
+like any other, and sort them with the keys so far once they outnumber both
+those keys and ``_FRONTIER_CAP``.  Dense bins or sorting is chosen per size,
+so one pass may use both.  A size whose candidates exceed the cap stops its
+own reduction; the others finish.  Each size's parts are joined at the end
+into arrays allocated at its final count, each part released once copied.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -166,8 +169,8 @@ def project(log: EventLog, candidate: Candidate) -> Projection:
 class CandidateIndex:
     """All size-l candidates of one type with non-empty projections.
 
-    Candidates live in canonical ascending order as packed key words, one
-    int64 array per word.  Besides the keys the index holds only what the
+    Candidates live in canonical ascending order as packed keys, one row
+    each of a (candidates, words) int64 array.  Besides the keys the index holds only what the
     risk measures read: each candidate's multiplicity-weighted projection
     size and its entropy sum ``sum(count * log2 count)`` over matching
     variants, plus the activity labels :meth:`write_csv` prints.  A
@@ -179,7 +182,7 @@ class CandidateIndex:
         labels: Sequence[str],
         bk_type: BkType,
         size: int,
-        words: Sequence[np.ndarray],
+        keys: np.ndarray,
         bits: int,
         cards: np.ndarray,
         entsums: np.ndarray,
@@ -187,7 +190,7 @@ class CandidateIndex:
         self._labels = tuple(labels)
         self.bk_type = bk_type
         self.size = size
-        self._words = tuple(words)
+        self._keys = keys
         self._bits = bits
         self._cards = cards
         self._entsums = entsums
@@ -206,9 +209,8 @@ class CandidateIndex:
         step = 1 << 16
         for lo in range(0, self.candidate_count, step):
             columns = []
-            for w, word in enumerate(self._words):
+            for w, word in enumerate(self._keys[lo : lo + step].T):
                 n = min(per_word, self.size - w * per_word)
-                word = word[lo : lo + step]
                 columns += [(word >> (self._bits * (n - 1 - i))) & mask for i in range(n)]
             yield lo, np.stack(columns, axis=1)
 
@@ -261,12 +263,12 @@ def _next_occurrence(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The next-occurrence table of ``views`` over activities ``0 .. n_labels - 1``.
 
-    Every view owns one row per event and one end row after them; ``ends``
-    and ``starts`` give each view's end row and first row, in the table's
-    dtype.  ``nxt[p, a]`` is the first row at or after ``p`` of an event
-    ``a`` in ``p``'s view, or the number of rows when there is none.  The
-    table has ``width >= n_labels`` columns; those past ``n_labels`` hold
-    no occurrence.
+    Every view owns one row per event and one end row after them; ``starts``
+    gives each view's first row and ``end`` each row's view's end row, in
+    the table's dtype.  ``nxt[p, a]`` is the first row at or after ``p`` of
+    an event ``a`` in ``p``'s view, or the number of rows when there is
+    none.  The table has ``width >= n_labels`` columns; those past
+    ``n_labels`` hold no occurrence.
     """
     lengths = np.fromiter(map(len, views), dtype=np.int64, count=len(views))
     events = np.fromiter(
@@ -285,28 +287,18 @@ def _next_occurrence(
     for a in range(n_labels):
         first = np.minimum.accumulate(np.where(acts == a, rows, n_rows)[::-1])[::-1]
         nxt[:, a] = np.where(first < row_end, first, n_rows)
-    return nxt, ends.astype(dtype), (ends - lengths).astype(dtype)
+    return nxt, (ends - lengths).astype(dtype), row_end.astype(dtype)
 
 
-def _group(words: list[np.ndarray], cards: np.ndarray, ents: np.ndarray):
-    """Sort rows by key and sum the aggregates of equal keys."""
-    order = np.lexsort(words[::-1])
-    words = [w[order] for w in words]
-    changed = np.any([w[1:] != w[:-1] for w in words], axis=0)
-    starts = np.flatnonzero(np.concatenate(([True], changed)))
+def _group(keys: np.ndarray, cards: np.ndarray, ents: np.ndarray):
+    """Sort key rows and sum the aggregates of equal keys."""
+    order = np.lexsort(keys.T[::-1])
+    keys = np.take(keys, order, axis=0)
+    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
     return (
-        [w[starts] for w in words],
+        np.take(keys, starts, axis=0),
         np.add.reduceat(cards[order], starts),
         np.add.reduceat(ents[order], starts),
-    )
-
-
-def _concat(parts):
-    """Join (key words, cardinalities, entropy sums) aggregates end to end."""
-    return (
-        [np.concatenate(column) for column in zip(*(p[0] for p in parts))],
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
     )
 
 
@@ -315,7 +307,7 @@ class _Reduction:
 
     Leaves that reach ``size`` are held until they reach a limit, then folded
     into ``acc``: dense bins over a first activity's key span, or that first
-    activity's sorted (key words, cardinalities, entropy sums).  Each first
+    activity's sorted (keys, cardinalities, entropy sums).  Each first
     activity's candidates become one part, and the parts are joined once the
     pass ends.  Past ``cap`` distinct candidates the reduction stops and
     ``error`` holds the :class:`CandidateLimitError`.
@@ -323,7 +315,7 @@ class _Reduction:
 
     def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights):
         self.bk_type, self.size, self.cap = bk_type, size, cap
-        self.weights = weights  # each variant's trace count and count * log2 count
+        self.weights = weights  # each table row's trace count and count * log2 count
         self.n_words = -(-size // (63 // bits))
         # In one key word, a first activity's keys differ only in the low
         # ``shift`` bits below it, so they fit a span of dense bins.
@@ -336,8 +328,8 @@ class _Reduction:
         self.leaves, self.ones, self.held, self.opened = [], [], 0, False
         self.parts, self.found, self.error = [], 0, None
 
-    def hold(self, words: list[np.ndarray], variant: np.ndarray, ones=None) -> None:
-        """Hold leaves as key words and the variant each comes from.
+    def hold(self, keys: np.ndarray, pos: np.ndarray, ones=None) -> None:
+        """Hold leaves as keys and the table position each was reached at.
 
         Dense leaves hold only their bin for a key, and ``ones`` the bins of
         count-1 variants' leaves, which add 1 to a cardinality and 0 to an
@@ -347,8 +339,8 @@ class _Reduction:
         O(log n) times.
         """
         self.opened = True
-        self.leaves.append((words, variant))
-        self.held += len(variant)
+        self.leaves.append((keys, pos))
+        self.held += len(pos)
         if ones is not None:
             self.ones.append(ones)
             self.held += len(ones)
@@ -356,29 +348,31 @@ class _Reduction:
         if self.held >= limit:
             self.reduce()
 
-    def hold_rows(self, words: list[np.ndarray], variant: np.ndarray, unit: np.ndarray) -> None:
+    def hold_rows(self, keys: np.ndarray, pos: np.ndarray, unit: np.ndarray) -> None:
         """Hold frontier rows that end at this size; dense ones split by ``unit`` counts."""
         if not self.dense:
-            return self.hold(words[: self.n_words], variant)
-        one = unit[variant]
-        bins = words[0] & (self.span - 1)
-        self.hold([bins[~one]], variant[~one], bins[one])
+            return self.hold(keys[:, : self.n_words], pos)
+        one = np.take(unit, pos)
+        bins = keys[:, 0] & (self.span - 1)
+        self.hold(bins[~one], pos[~one], bins[one])
 
     def reduce(self) -> None:
         """Fold the held leaves into ``acc``."""
-        words = [np.concatenate(column) for column in zip(*(k for k, _ in self.leaves))]
-        variant = np.concatenate([v for _, v in self.leaves])
+        keys = np.concatenate([k for k, _ in self.leaves])
+        pos = np.concatenate([p for _, p in self.leaves])
         self.leaves, self.held = [], 0
         counts, clog = self.weights
         if self.dense:
             self.acc[0] += np.bincount(np.concatenate(self.ones), minlength=self.span)
             self.ones = []
-            if len(variant):
+            if len(pos):
                 for b, x in zip(self.acc, (counts, clog)):
-                    b += np.bincount(words[0], weights=x[variant], minlength=self.span)
+                    b += np.bincount(keys, weights=np.take(x, pos), minlength=self.span)
             return
-        rows = (words, counts[variant], clog[variant])
-        self.acc = _group(*(rows if self.acc is None else _concat([self.acc, rows])))
+        rows = (keys, np.take(counts, pos), np.take(clog, pos))
+        if self.acc is not None:
+            rows = [np.concatenate(pair) for pair in zip(self.acc, rows)]
+        self.acc = _group(*rows)
         self.check(self.found + len(self.acc[1]))
 
     def check(self, count: int) -> None:
@@ -397,7 +391,7 @@ class _Reduction:
             return
         if self.dense:
             present = np.flatnonzero(self.acc[0] > 0)
-            part = ([present | a << self.shift], *(b[present] for b in self.acc))
+            part = ((present | a << self.shift)[:, None], *(b[present] for b in self.acc))
             for b in self.acc:
                 b[present] = 0
         else:
@@ -408,18 +402,16 @@ class _Reduction:
 
     def index(self, labels: Sequence[str], bits: int) -> CandidateIndex:
         """Join the parts into arrays of the final length, releasing each once copied."""
-        words = [np.empty(self.found, dtype=np.int64) for _ in range(self.n_words)]
+        keys = np.empty((self.found, self.n_words), dtype=np.int64)
         cards, ents = np.empty(self.found, dtype=np.int64), np.empty(self.found)
         parts, self.parts = self.parts[::-1], []
         at = 0
         while parts:
-            keys, part_cards, part_ents = parts.pop()
+            part_keys, part_cards, part_ents = parts.pop()
             stop = at + len(part_cards)
-            for column, key in zip(words, keys):
-                column[at:stop] = key
-            cards[at:stop], ents[at:stop] = part_cards, part_ents
+            keys[at:stop], cards[at:stop], ents[at:stop] = part_keys, part_cards, part_ents
             at = stop
-        return CandidateIndex(labels, self.bk_type, self.size, words, bits, cards, ents)
+        return CandidateIndex(labels, self.bk_type, self.size, keys, bits, cards, ents)
 
 
 def enumerate_candidates(
@@ -439,15 +431,17 @@ def enumerate_candidates(
     reaches it.  Each first activity is seeded from its column of the
     next-occurrence table, then expanded depth first in chunks of a bounded
     number of rows; a row is dropped once it cannot reach the smallest
-    requested size still ahead of it.  A requested level short of the
-    largest is reduced from its rows as they are built.  The largest is
-    reduced from the chunks one level short of it: when the first activity's
-    keys span at most ``_DENSE_SPAN`` values of one key word, each such chunk
-    is turned straight into its leaves' bin indices, with count-1 variants
-    tallied apart from repeated ones, and summed into dense bins; otherwise
-    its leaves are built as key rows and sorted a buffer at a time.  Dense
-    bins or sorting is chosen for each size from the alphabet's width and
-    the size alone, so one pass may use both.
+    requested size still ahead of it.  A row is a position in the table,
+    which also gives its view's end, trace count and entropy term, and a
+    key, one row of a (rows, words) int64 array.  Each requested level is
+    reduced from its rows as they are built.  When the first activity's
+    keys span at most ``_DENSE_SPAN`` values of one key word, a size's rows
+    are summed into dense bins, with count-1 variants tallied apart from
+    repeated ones, and the largest size's rows are never built: each chunk
+    one level short of it is turned straight into its leaves' bin indices.
+    Otherwise a size's rows are sorted a buffer at a time.  Dense bins or
+    sorting is chosen for each size from the alphabet's width and the size
+    alone, so one pass may use both.
 
     ``sizes`` is one size or a collection of them.  For one size the index
     is returned, and more than ``cap`` distinct candidates raise
@@ -469,10 +463,11 @@ def enumerate_candidates(
     bits = max(1, (n_labels - 1).bit_length())
     # One table column per ``bits``-bit activity code, so the cell of row r
     # and activity a in a block of rows is ``r << bits | a``.
-    nxt, ends, starts = _next_occurrence(
+    nxt, starts, end = _next_occurrence(
         [_view(bk_type, v) for v in log.variants], n_labels, 1 << bits
     )
-    counts = np.asarray(log.counts, dtype=np.float64)
+    # Each table row's trace count: that of the variant whose view holds it.
+    counts = np.repeat(np.asarray(log.counts, dtype=np.float64), np.diff(starts, append=len(end)))
     unit = counts == 1
     weights = (counts, counts * np.log2(counts))
     reductions = [_Reduction(bk_type, size, bits, cap, weights) for size in wanted]
@@ -492,27 +487,24 @@ def enumerate_candidates(
         room = [min(s for s in live if s > level) - level - 1 for level in range(deepest)]
         return live, room
 
-    def children(level: int, variant: np.ndarray, pos: np.ndarray):
+    def children(level: int, pos: np.ndarray):
         """The table block of the given rows at ``level``, and their children's cells in it."""
-        succ = nxt[pos]
-        return succ, np.flatnonzero(succ < (ends[variant] - room[level])[:, None])
+        # Positions are in the table's dtype.  ``np.take`` gathers by them
+        # without first casting them to intp, as indexing does, and copies
+        # table rows faster too.
+        succ = np.take(nxt, pos, axis=0)
+        return succ, np.flatnonzero(succ < (np.take(end, pos) - room[level])[:, None])
 
-    def expand(level: int, variant: np.ndarray, pos: np.ndarray, words: list[np.ndarray]):
-        """The frontier rows one level deeper than the given rows at ``level``.
-
-        Rows at the largest size get no successor positions: nothing grows
-        from them.
-        """
-        succ, flat = children(level, variant, pos)
-        parent = flat >> bits
-        words = [w[parent] for w in words]
+    def expand(level: int, pos: np.ndarray, keys: np.ndarray):
+        """The frontier rows one level deeper than the given rows at ``level``."""
+        succ, flat = children(level, pos)
+        keys = np.take(keys, flat >> bits, axis=0)
         w = level // (63 // bits)
-        words[w] <<= bits
-        words[w] |= flat & ((1 << bits) - 1)
-        pos = succ.ravel()[flat] + 1 if level + 1 < len(room) else None
-        return variant[parent], pos, words
+        keys[:, w] <<= bits
+        keys[:, w] |= flat & ((1 << bits) - 1)
+        return succ.ravel()[flat] + 1, keys
 
-    def bin_leaves(level: int, variant: np.ndarray, pos: np.ndarray, key: np.ndarray, span: int):
+    def bin_leaves(level: int, pos: np.ndarray, key: np.ndarray, span: int):
         """The dense bin of each leaf below the given rows, and the row it grows from.
 
         A bin is a leaf key's low bits below its first activity: its row's
@@ -520,24 +512,24 @@ def enumerate_candidates(
         in the block is ``row << bits | activity``, so its bin is the cell
         plus ``off[row]``.
         """
-        flat = children(level, variant, pos)[1]
+        flat = children(level, pos)[1]
         parent = flat >> bits
         off = ((key << bits) & (span - 1)) - (np.arange(len(key)) << bits)
         return flat + off[parent], parent
 
-    def reach(level: int, variant: np.ndarray, pos, words: list[np.ndarray]) -> None:
+    def reach(level: int, pos: np.ndarray, keys: np.ndarray) -> None:
         """Hold rows that end at a requested size, and stack those that grow on."""
         nonlocal live, room
         if level in live:
-            live[level].hold_rows(words, variant, unit)
+            live[level].hold_rows(keys, pos, unit)
             if live[level].error is not None:
                 live, room = plan()
             if level < len(room):
                 # Their own level asked no room of them; the next size does.
-                keep = np.flatnonzero(pos < ends[variant] - room[level])
-                variant, pos, words = variant[keep], pos[keep], [w[keep] for w in words]
-        if level < len(room) and len(variant):
-            stack.append((level, variant, pos, words))
+                keep = np.flatnonzero(pos < np.take(end, pos) - room[level])
+                pos, keys = pos[keep], np.take(keys, keep, axis=0)
+        if level < len(room) and len(pos):
+            stack.append((level, pos, keys))
 
     # Candidates with different first activities have disjoint key ranges,
     # so each first activity is grown and reduced on its own, in ascending
@@ -548,40 +540,35 @@ def enumerate_candidates(
         if not live:
             break
         first = nxt[starts, a]
-        variant = np.flatnonzero(first < ends - room[0])
-        if not len(variant):
+        first = first[first < end[starts] - room[0]]
+        if not len(first):
             continue
-        words = [np.full(len(variant), a, dtype=np.int64)]
-        words += [np.zeros(len(variant), dtype=np.int64)] * (live[len(room)].n_words - 1)
+        keys = np.zeros((len(first), live[len(room)].n_words), dtype=np.int64)
+        keys[:, 0] = a
         stack = []
-        reach(1, variant, first[variant] + 1, words)
+        reach(1, first + 1, keys)
         # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  Rows that reach a requested size short of the largest
-        # are held as they are built; below a chunk one level short of the
-        # largest, only the leaves are held.  A size that exceeds the cap
-        # drops out of the plan, and the rows that only led to it are skipped.
+        # is expanded.  Rows that reach a requested size are held as they
+        # are built, except at a dense largest size: a chunk one level short
+        # of it is turned straight into its leaves' bins.  A size that
+        # exceeds the cap drops out of the plan, and the rows that only led
+        # to it are skipped.
         while stack:
-            level, variant, pos, words = stack.pop()
+            level, pos, keys = stack.pop()
             if level >= len(room):
                 continue
-            if len(variant) > chunk:
-                stack.append((level, variant[chunk:], pos[chunk:], [w[chunk:] for w in words]))
-                variant, pos, words = variant[:chunk], pos[:chunk], [w[:chunk] for w in words]
-            if level + 1 < len(room):
-                reach(level + 1, *expand(level, variant, pos, words))
+            if len(pos) > chunk:
+                stack.append((level, pos[chunk:], keys[chunk:]))
+                pos, keys = pos[:chunk], keys[:chunk]
+            last = live[len(room)]
+            if level + 1 < len(room) or not last.dense:
+                reach(level + 1, *expand(level, pos, keys))
                 continue
-            last = live[level + 1]
-            if last.dense:
-                one = unit[variant]
-                ones = bin_leaves(level, variant[one], pos[one], words[0][one], last.span)[0]
-                many = ~one
-                bins, parent = bin_leaves(
-                    level, variant[many], pos[many], words[0][many], last.span
-                )
-                last.hold([bins], variant[many][parent], ones)
-            else:
-                variant, _, words = expand(level, variant, pos, words)
-                last.hold(words[: last.n_words], variant)
+            one, key = np.take(unit, pos), keys[:, 0]
+            ones = bin_leaves(level, pos[one], key[one], last.span)[0]
+            many = ~one
+            bins, parent = bin_leaves(level, pos[many], key[many], last.span)
+            last.hold(bins, pos[many][parent], ones)
             if last.error is not None:
                 live, room = plan()
         for r in live.values():

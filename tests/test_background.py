@@ -214,6 +214,14 @@ class TestEnumerate:
         lines = buf.getvalue().splitlines()[1:]
         assert len(lines) == index.candidate_count
         assert lines == sorted(lines)
+        # One pass over sizes 8-12 mixes key widths: sizes 8-9 fit one word,
+        # and each takes its words from the two-word keys of size 12.
+        for kind in KINDS:
+            found = enumerate_candidates(log, KINDS[kind], range(8, 13))
+            for size, index in found.items():
+                single = enumerate_candidates(log, KINDS[kind], size)
+                assert_same_index(index, single)
+                assert csv_text(index) == csv_text(single)
 
     def test_lazy_projections_agree_with_oracle_and_aggregates(self, monkeypatch):
         rng = random.Random(505)
@@ -235,6 +243,12 @@ class TestEnumerate:
 
 def entropy_sum(matches) -> float:
     return sum(c * math.log2(c) for c in matches.values())
+
+
+def csv_text(index) -> str:
+    buf = io.StringIO()
+    index.write_csv(buf)
+    return buf.getvalue()
 
 
 def assert_matches_oracle(index, oracle) -> None:
@@ -403,6 +417,19 @@ class TestMultiSize:
                     enumerate_candidates(log, KINDS[kind], 5, cap=cap)
                 checked += 1
         assert checked >= 30
+
+    def test_smaller_sizes_over_the_cap_while_the_largest_finishes(self, monkeypatch):
+        # Each trace holds one size-3 set, so size 3 has 5 candidates, but
+        # sizes 1 and 2 have 11 and 15.  The cap stops size 1 at the sixth
+        # first activity and size 2 within the first; with a buffer of a few
+        # rows, size 2 fails while its rows are held, before they grow on.
+        log = EventLog.from_traces([list("abc"), list("ade"), list("afg"), list("ahi"), list("bjk")])
+        for _ in each_reduction(monkeypatch):
+            found = enumerate_candidates(log, BkType.SET, [1, 2, 3], cap=5)
+            assert all(isinstance(found[s], CandidateLimitError) for s in (1, 2))
+            assert [(err.size, err.count) for err in (found[1], found[2])] == [(1, 6), (2, 8)]
+            assert found[3].candidate_count == 5
+            assert_same_index(found[3], enumerate_candidates(log, BkType.SET, 3))
 
     def test_one_size_and_collections_of_sizes(self, example1_log):
         index = enumerate_candidates(example1_log, BkType.SET, 2)

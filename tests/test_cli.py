@@ -172,6 +172,21 @@ class TestRisk:
 
         assert normalized() == normalized()
 
+    def test_table_lists_scored_skipped_and_failed_cells(self, capsys, ex2_l2_csv):
+        # set/3 has 4 candidates, no trace holds 5 activities, and set/1's 8
+        # candidates exceed the cap at the sixth first activity.
+        code = main(
+            ["risk", str(ex2_l2_csv), "--types", "set", "--sizes", "1,3,5", "--cap", "5", "--table"]
+        )
+        assert code == EXIT_RESOURCE
+        assert capsys.readouterr().out.splitlines() == [
+            "  type size       cd       td   candidates",
+            "   set    3    0.250    1.000            4",
+            "   set    5        -        -  no candidates at this size",
+            "   set    1        !        !  candidate enumeration for type='set' size=1 "
+            "reached 6 candidates, exceeding the cap of 5",
+        ]
+
     def test_dump_candidates(self, capsys, ex2_l2_csv, tmp_path):
         dump = tmp_path / "dump"
         code, _ = run_json(
@@ -211,6 +226,15 @@ class TestUtility:
         code, report = run_json(capsys, ["utility", str(original), str(original)])
         assert code == EXIT_OK
         assert report["results"]["du"] == 1.0
+
+    def test_table_mode(self, capsys, ex3_files):
+        original, anonymized = ex3_files
+        code = main(["utility", str(original), str(anonymized), "--table"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "utility loss (ul): 0.245",
+            "data utility (du): 0.755",
+        ]
 
     def test_plan_export(self, capsys, ex3_files, tmp_path):
         original, anonymized = ex3_files
@@ -290,6 +314,17 @@ class TestSweep:
         records = {r["k"]: r for r in report["results"]["records"]}
         assert "error" in records[999]
         assert records[1]["du"] == 1.0
+
+    def test_table_shows_error_rows_beside_scored_ones(self, capsys, ex2_l2_csv):
+        code = main(
+            ["sweep", str(ex2_l2_csv), "--k-values", "1,999", "--types", "set", "--sizes", "1", "--table"]
+        )
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().out.splitlines() == [
+            "     k       du  cells",
+            "     1    1.000  set/1:cd=0.250",
+            "   999        !  k too large for this log",
+        ]
 
     def test_solver_failure_at_one_k_is_recorded_and_others_emit(
         self, capsys, ex3_files, monkeypatch

@@ -76,6 +76,18 @@ class TestIngestCsv:
         assert len(result.errors) == 1
         assert "timestamp" in result.errors[0].message
 
+    def test_short_row_is_reported(self):
+        result = ingest_csv(csv_stream("case,activity,time\n1,a\n1,b,2020-01-02\n"))
+        assert [e.activity for e in result.events] == ["b"]
+        assert [(e.index, e.message) for e in result.errors] == [
+            (0, "row has fewer cells than the mapped columns")
+        ]
+
+    def test_empty_case_id_is_reported(self):
+        result = ingest_csv(csv_stream("case,activity,time\n1,a,2020-01-01\n ,b,2020-01-02\n"))
+        assert [e.activity for e in result.events] == ["a"]
+        assert [(e.index, e.message) for e in result.errors] == [(1, "empty case identifier")]
+
     def test_empty_file_is_an_input_error(self):
         with pytest.raises(InputError):
             ingest_csv(csv_stream(""))
@@ -142,6 +154,33 @@ class TestIngestXes:
         result = ingest_xes(io.BytesIO(xml.encode()))
         assert [e.activity for e in result.events] == ["a"]
         assert len(result.errors) == 1
+
+    def test_events_of_a_trace_without_a_name_are_reported_each(self):
+        def trace(name, activities):
+            named = f'<string key="concept:name" value="{name}"/>' if name else ""
+            return f"<trace>{named}" + "".join(
+                f'<event><string key="concept:name" value="{a}"/>'
+                f'<date key="time:timestamp" value="2020-01-01T0{i}:00:00Z"/></event>'
+                for i, a in enumerate(activities)
+            ) + "</trace>"
+
+        xml = "<log>" + trace("c1", "a") + trace(None, "bc") + trace("c3", "d") + "</log>"
+        result = ingest_xes(io.BytesIO(xml.encode()))
+        assert [(e.activity, e.source_index) for e in result.events] == [("a", 0), ("d", 3)]
+        assert [e.index for e in result.errors] == [1, 2]
+        assert all("without a concept:name" in e.message for e in result.errors)
+
+    def test_unparsable_timestamp_is_excluded_with_error(self):
+        xml = MINIMAL_XES.replace("2020-01-01T09:00:00.000+00:00", "tomorrow")
+        result = ingest_xes(io.BytesIO(xml.encode()))
+        assert [e.activity for e in result.events] == ["a"]
+        assert [e.index for e in result.errors] == [1]
+        assert "unparsable time:timestamp 'tomorrow'" in result.errors[0].message
+
+    def test_root_other_than_log_is_an_input_error(self):
+        xml = MINIMAL_XES.replace('<log xes.version="1.0">', "<events>").replace("</log>", "</events>")
+        with pytest.raises(InputError, match="no <log> root"):
+            ingest_xes(io.BytesIO(xml.encode()))
 
     def test_malformed_xml_is_an_input_error(self):
         with pytest.raises(InputError, match="malformed"):
