@@ -569,8 +569,6 @@ def enumerate_candidates(
             many = ~one
             bins, parent = bin_leaves(level, pos[many], key[many], last.span)
             last.hold(bins, pos[many][parent], ones)
-            if last.error is not None:
-                live, room = plan()
         for r in live.values():
             r.close(a)
 

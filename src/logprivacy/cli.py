@@ -1,9 +1,12 @@
 """Command-line front end: stats, risk, utility and sweep reports.
 
-Every command emits a JSON report (key-sorted, schema-stable) wrapping the
-command's payload together with content digests of the inputs and wall-clock
-timings per phase; ``--table`` renders a human summary instead.  Exit codes:
-0 success, 1 usage, 2 input problem or unwritable output path,
+Each command computes its results and returns them with the digests of its
+inputs and its exit code; it prints nothing to stdout.  ``main`` then prints
+either the JSON report (key-sorted, schema-stable), which wraps the results
+together with the content digests of the inputs and wall-clock timings per
+phase, or, with ``--table``, a human summary rendered from the same results.
+
+Exit codes: 0 success, 1 usage, 2 input problem or unwritable output path,
 3 candidate-cap resource limit, 4 solver failure.  When only some grid cells
 or sweep points fail, the report still carries the successful ones and the
 exit code reflects the most severe failure category.
@@ -224,22 +227,19 @@ def _cells_payload(profile) -> tuple[list[dict], list[dict], list[dict]]:
 # -- commands ----------------------------------------------------------------
 
 
-def _cmd_stats(args) -> int:
-    timing: dict[str, float] = {}
+def _cmd_stats(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
     log, ingest, digest = _load_log(args.log, args, timing)
     results = {"stats": _stats_payload(log), "ingest": _ingest_payload(ingest)}
-    report = _report("stats", {args.log: digest}, results, timing)
-    if args.table:
-        for key, value in results["stats"].items():
-            shown = f"{value:.3f}" if isinstance(value, float) else value
-            print(f"{key:>22}  {shown}")
-    else:
-        _emit_json(report)
-    return EXIT_OK
+    return {args.log: digest}, results, EXIT_OK
 
 
-def _cmd_risk(args) -> int:
-    timing: dict[str, float] = {}
+def _stats_table(results: dict) -> None:
+    for key, value in results["stats"].items():
+        shown = f"{value:.3f}" if isinstance(value, float) else value
+        print(f"{key:>22}  {shown}")
+
+
+def _cmd_risk(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
     log, ingest, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
     profile = risk_profile(log, args.types, args.sizes, args.aggregation, cap=args.cap)
@@ -263,25 +263,23 @@ def _cmd_risk(args) -> int:
         "log": _stats_payload(log),
         "ingest": _ingest_payload(ingest),
     }
-    report = _report("risk", {args.log: digest}, results, timing)
-    if args.table:
-        print(f"{'type':>6} {'size':>4} {'cd':>8} {'td':>8} {'candidates':>12}")
-        for cell in cells:
-            print(
-                f"{cell['type']:>6} {cell['size']:>4} {cell['cd']:>8.3f} "
-                f"{cell['td']:>8.3f} {cell['n_candidates']:>12}"
-            )
-        for entry in skipped:
-            print(f"{entry['type']:>6} {entry['size']:>4} {'-':>8} {'-':>8}  {entry['reason']}")
-        for entry in failures:
-            print(f"{entry['type']:>6} {entry['size']:>4} {'!':>8} {'!':>8}  {entry['error']}")
-    else:
-        _emit_json(report)
-    return EXIT_RESOURCE if failures else EXIT_OK
+    return {args.log: digest}, results, EXIT_RESOURCE if failures else EXIT_OK
 
 
-def _cmd_utility(args) -> int:
-    timing: dict[str, float] = {}
+def _risk_table(results: dict) -> None:
+    print(f"{'type':>6} {'size':>4} {'cd':>8} {'td':>8} {'candidates':>12}")
+    for cell in results["cells"]:
+        print(
+            f"{cell['type']:>6} {cell['size']:>4} {cell['cd']:>8.3f} "
+            f"{cell['td']:>8.3f} {cell['n_candidates']:>12}"
+        )
+    for entry in results["skipped"]:
+        print(f"{entry['type']:>6} {entry['size']:>4} {'-':>8} {'-':>8}  {entry['reason']}")
+    for entry in results["failures"]:
+        print(f"{entry['type']:>6} {entry['size']:>4} {'!':>8} {'!':>8}  {entry['error']}")
+
+
+def _cmd_utility(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
     original, ingest_a, digest_a = _load_log(args.original, args, timing)
     anonymized, ingest_b, digest_b = _load_log(args.anonymized, args, timing)
     t0 = time.perf_counter()
@@ -298,25 +296,22 @@ def _cmd_utility(args) -> int:
     if args.plan_out:
         with open(args.plan_out, "w", newline="") as fh:
             write_plan_csv(problem, utility.plan, fh)
-    report = _report(
-        "utility", {args.original: digest_a, args.anonymized: digest_b}, results, timing
-    )
-    if args.table:
-        print(f"utility loss (ul): {utility.ul:.3f}")
-        print(f"data utility (du): {utility.du:.3f}")
-    else:
-        _emit_json(report)
-    return EXIT_OK
+    return {args.original: digest_a, args.anonymized: digest_b}, results, EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
-    timing: dict[str, float] = {}
+def _utility_table(results: dict) -> None:
+    print(f"utility loss (ul): {results['ul']:.3f}")
+    print(f"data utility (du): {results['du']:.3f}")
+
+
+def _cmd_sweep(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
     log, ingest, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
     records = []
     worst_exit = EXIT_OK
     for k in args.k_values:
         record: dict = {"k": k}
+        records.append(record)
         try:
             anonymized = k_anonymize(log, AnonymizationConfig(k=k, strategy=args.strategy))
             profile = risk_profile(
@@ -326,7 +321,6 @@ def _cmd_sweep(args) -> int:
         except (ValueError, CandidateLimitError, SolverError) as exc:
             record["error"] = str(exc)
             worst_exit = max(worst_exit, _exit_code(exc))
-            records.append(record)
             continue
         cells, skipped, failures = _cells_payload(profile)
         if failures:
@@ -341,7 +335,6 @@ def _cmd_sweep(args) -> int:
                 "anonymized": _stats_payload(anonymized),
             }
         )
-        records.append(record)
     timing["sweep"] = time.perf_counter() - t0
     results = {
         "strategy": args.strategy.value,
@@ -350,20 +343,19 @@ def _cmd_sweep(args) -> int:
         "log": _stats_payload(log),
         "ingest": _ingest_payload(ingest),
     }
-    report = _report("sweep", {args.log: digest}, results, timing)
-    if args.table:
-        print(f"{'k':>6} {'du':>8}  cells")
-        for record in records:
-            if "error" in record:
-                print(f"{record['k']:>6} {'!':>8}  {record['error']}")
-            else:
-                summary = " ".join(
-                    f"{c['type']}/{c['size']}:cd={c['cd']:.3f}" for c in record["cells"]
-                )
-                print(f"{record['k']:>6} {record['du']:>8.3f}  {summary}")
-    else:
-        _emit_json(report)
-    return worst_exit
+    return {args.log: digest}, results, worst_exit
+
+
+def _sweep_table(results: dict) -> None:
+    print(f"{'k':>6} {'du':>8}  cells")
+    for record in results["records"]:
+        if "error" in record:
+            print(f"{record['k']:>6} {'!':>8}  {record['error']}")
+        else:
+            summary = " ".join(
+                f"{c['type']}/{c['size']}:cd={c['cd']:.3f}" for c in record["cells"]
+            )
+            print(f"{record['k']:>6} {record['du']:>8.3f}  {summary}")
 
 
 # -- parser ------------------------------------------------------------------
@@ -400,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = commands.add_parser("stats", parents=[], help="general statistics of a log")
     p_stats.add_argument("log", help="event log file (CSV or XES, optionally gzipped)")
     _add_input_flags(p_stats)
-    p_stats.set_defaults(func=_cmd_stats)
+    p_stats.set_defaults(func=_cmd_stats, table_func=_stats_table)
 
     p_risk = commands.add_parser("risk", help="case/trace disclosure over a (type, size) grid")
     p_risk.add_argument("log")
@@ -409,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_risk.add_argument("--dump-candidates", default=None, metavar="DIR",
                         help="debug: write per-cell candidate,cardinality CSVs "
                              "(enumerates each type once more, over its scored sizes)")
-    p_risk.set_defaults(func=_cmd_risk)
+    p_risk.set_defaults(func=_cmd_risk, table_func=_risk_table)
 
     p_util = commands.add_parser("utility", help="earth mover's distance between two logs")
     p_util.add_argument("original")
@@ -417,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p_util)
     p_util.add_argument("--plan-out", default=None, metavar="FILE",
                         help="write the optimal reallocation as CSV")
-    p_util.set_defaults(func=_cmd_utility)
+    p_util.set_defaults(func=_cmd_utility, table_func=_utility_table)
 
     p_sweep = commands.add_parser("sweep", help="k-anonymization sweep: risk and utility per k")
     p_sweep.add_argument("log")
@@ -429,15 +421,21 @@ def build_parser() -> argparse.ArgumentParser:
                          default=Strategy.SUPPRESS, choices=list(Strategy),
                          metavar="{suppress,merge-nearest}",
                          help="suppress (default) or merge-nearest")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, table_func=_sweep_table)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    timing: dict[str, float] = {}
     try:
-        return args.func(args)
+        inputs, results, code = args.func(args, timing)
+        if args.table:
+            args.table_func(results)
+        else:
+            _emit_json(_report(args.command, inputs, results, timing))
+        return code
     except (LogPrivacyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -188,17 +188,18 @@ class EventLog:
 
 # -- timestamp parsing -----------------------------------------------------
 
-_FRACTION_RE = re.compile(r"(\.\d{7,})")
+_FRACTION_RE = re.compile(r"\.(\d+)")
 
 
 def _parse_iso_timestamp(text: str) -> datetime:
     s = text.strip()
     if s.endswith(("Z", "z")):
         s = s[:-1] + "+00:00"
-    # datetime only supports microseconds; truncate finer fractions.
+    # datetime holds microseconds, and Python 3.10 reads only 3 or 6
+    # fractional digits, so every fraction is padded or truncated to 6.
     m = _FRACTION_RE.search(s)
     if m:
-        s = s[: m.start()] + m.group(1)[:7] + s[m.end():]
+        s = s[: m.start(1)] + m.group(1).ljust(6, "0")[:6] + s[m.end():]
     return datetime.fromisoformat(s)
 
 

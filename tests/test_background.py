@@ -441,6 +441,8 @@ class TestMultiSize:
         for sizes in ([], [0, 1], 0):
             with pytest.raises(ValueError):
                 enumerate_candidates(example1_log, BkType.SET, sizes)
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            enumerate_candidates(example1_log, BkType.SET, 2, cap=0)
 
 
 # Permutations of one another: every variant's set view is abc, and the three

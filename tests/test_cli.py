@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gzip
 import json
 from pathlib import Path
 
@@ -101,6 +102,18 @@ class TestStats:
         assert report["results"]["ingest"]["error_count"] == 1
         assert "unusable" in err
 
+    def test_no_usable_event_exits_2(self, capsys, tmp_path):
+        path = write_csv(
+            tmp_path / "unusable.csv",
+            [("case", "activity", "time"), ("1", "", "2020-01-01"), ("2", "a", "someday")],
+        )
+        code = main(["stats", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert "warning: 2 unusable row(s)/event(s)" in captured.err
+        assert captured.err.endswith(f"error: {str(path)!r} yielded no usable events\n")
+
 
 class TestRisk:
     def test_example2_l2_values(self, capsys, ex2_l2_csv):
@@ -197,6 +210,20 @@ class TestRisk:
         content = (dump / "candidates_set_1.csv").read_text().splitlines()
         assert content[0] == "candidate,cardinality"
         assert len(content) == 9
+
+    def test_dump_writes_no_file_for_a_type_with_no_scored_size(self, capsys, tmp_path):
+        # aba has one set pair (ab) but three sequence pairs (ab, aa, ba),
+        # so seq/2 exceeds the cap and seq has no scored size.
+        path = write_log_csv(tmp_path / "aba.csv", {("a", "b", "a"): 2})
+        dump = tmp_path / "dump"
+        code, report = run_json(
+            capsys,
+            ["risk", str(path), "--types", "set,seq", "--sizes", "2,5", "--cap", "2",
+             "--dump-candidates", str(dump)],
+        )
+        assert code == EXIT_RESOURCE
+        assert [(f["type"], f["size"]) for f in report["results"]["failures"]] == [("seq", 2)]
+        assert sorted(p.name for p in dump.iterdir()) == ["candidates_set_2.csv"]
 
     def test_dump_onto_a_file_is_an_input_error(self, capsys, ex2_l2_csv, tmp_path):
         dump = tmp_path / "dump"
@@ -314,6 +341,17 @@ class TestSweep:
         records = {r["k"]: r for r in report["results"]["records"]}
         assert "error" in records[999]
         assert records[1]["du"] == 1.0
+
+    def test_cap_failure_at_every_k_exits_3(self, capsys, ex2_l2_csv):
+        # both k keep all 8 set/1 candidates, over a cap of 5
+        code, report = run_json(
+            capsys,
+            ["sweep", str(ex2_l2_csv), "--k-values", "1,2", "--types", "set", "--sizes", "1", "--cap", "5"],
+        )
+        assert code == EXIT_RESOURCE
+        for record in report["results"]["records"]:
+            assert record["cells"] == [] and record["du"] == 1.0
+            assert [(f["type"], f["size"]) for f in record["failures"]] == [("set", 1)]
 
     def test_table_shows_error_rows_beside_scored_ones(self, capsys, ex2_l2_csv):
         code = main(
@@ -449,3 +487,18 @@ class TestXesInput:
         assert code == EXIT_OK
         assert report["results"]["stats"]["n_events"] == 2
         assert report["results"]["stats"]["n_traces"] == 1
+
+    def test_gzipped_inputs_by_inferred_format(self, capsys, tmp_path):
+        xes = tmp_path / "tiny.xes.gz"
+        xes.write_bytes(gzip.compress(
+            b'<log><trace><string key="concept:name" value="c1"/>'
+            b'<event><string key="concept:name" value="a"/>'
+            b'<date key="time:timestamp" value="2020-01-01T08:00:00Z"/></event></trace></log>'
+        ))
+        rows = write_log_csv(tmp_path / "toy.csv", {("a", "b"): 2}).read_bytes()
+        csv_gz = tmp_path / "toy.csv.gz"
+        csv_gz.write_bytes(gzip.compress(rows))
+        for path, n_events in ((xes, 1), (csv_gz, 4)):
+            code, report = run_json(capsys, ["stats", str(path)])
+            assert code == EXIT_OK
+            assert report["results"]["stats"]["n_events"] == n_events

@@ -159,6 +159,12 @@ class TestKernelAgainstTableOracle:
         assert distance_matrix(traces, []).shape == (2, 0)
         assert distance_matrix([], []).shape == (0, 0)
 
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            distance_matrix([(0, 1)], [(2,), ()])
+        with pytest.raises(ValueError, match="non-empty"):
+            distance_matrix([()], [])
+
     def test_transpose_swaps_rows_and_columns(self):
         rows, cols = _boundary_traces(7, 3)
         assert np.array_equal(distance_matrix(cols, rows), distance_matrix(rows, cols).T)

@@ -129,6 +129,18 @@ class TestTimestampParsing:
         ts = parse_timestamp("2020-06-01T12:00:00.123456789Z")
         assert ts.microsecond == 123456
 
+    @pytest.mark.parametrize(
+        "digits, microsecond",
+        [(1, 100000), (2, 120000), (3, 123000), (4, 123400), (5, 123450),
+         (6, 123456), (7, 123456), (8, 123456), (9, 123456)],
+    )
+    def test_fractions_of_every_length_give_microseconds(self, digits, microsecond):
+        # Python 3.10's fromisoformat reads only 3 or 6 digits by itself.
+        fraction = "123456789"[:digits]
+        for text in (f"2020-06-01T12:00:00.{fraction}Z", f"2020-06-01 12:00:00.{fraction}+02:00"):
+            ts = parse_timestamp(text)
+            assert ts.microsecond == microsecond and ts.second == 0
+
     def test_naive_is_treated_as_utc(self):
         ts = parse_timestamp("2020-06-01 12:00:00")
         assert ts.tzinfo == timezone.utc
@@ -253,6 +265,22 @@ class TestEventLogInvariants:
     def test_rejects_duplicate_labels(self):
         with pytest.raises(ValueError, match="distinct"):
             EventLog([(0,), (1,)], [1, 3], ["a", "a"])
+
+    def test_rejects_malformed_constructor_arguments(self):
+        with pytest.raises(ValueError, match="same length"):
+            EventLog([(0,), (1,)], [1], ["a", "b"])
+        with pytest.raises(InputError, match="at least one trace"):
+            EventLog([], [], [])
+        with pytest.raises(InputError, match="at least one trace"):
+            EventLog.from_counts({})
+        with pytest.raises(ValueError, match="exactly the activities"):
+            EventLog([(0,)], [1], ["a", "b"])
+        with pytest.raises(ValueError, match="exactly the activities"):
+            EventLog([(0, 2)], [1], ["a", "b"])
+        with pytest.raises(ValueError, match="non-empty"):
+            EventLog([(0, 1)], [1], ["a", ""])
+        with pytest.raises(ValueError, match="unique"):
+            EventLog([(0, 1), (1,), (0, 1)], [1, 2, 3], ["a", "b"])
 
     def test_alphabet_is_exactly_used_activities(self):
         log = EventLog.from_counts({("b", "a"): 2})

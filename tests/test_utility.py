@@ -83,6 +83,12 @@ class TestBuildProblem:
         problem = build_problem(a, b)
         assert problem.cost.tolist() == [[1.0]]
 
+    def test_rejects_a_misshapen_cost_or_no_source(self):
+        with pytest.raises(ValueError, match=r"shape \(1, 2\) != \(2, 1\)"):
+            TransportProblem([(0,), (1,)], [1, 1], [(0,)], [2], np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="at least one source"):
+            TransportProblem([], [], [(0,)], [2], np.zeros((0, 1)))
+
 
 class TestSolve:
     def test_example_objective(self, example3_original, example3_anonymized):
