@@ -65,8 +65,14 @@ larger sizes and multi-word keys hold their rows as keys, the largest level
 like any other, and sort them with the keys so far once they outnumber both
 those keys and ``_FRONTIER_CAP``.  Dense bins or sorting is chosen per size,
 so one pass may use both.  A size whose candidates exceed the cap stops its
-own reduction; the others finish.  Each size's parts are joined at the end
-into arrays allocated at its final count, each part released once copied.
+own reduction, and what its consumer got so far is dropped; the others finish.
+
+Each first activity's candidates of a size become one part as the first
+activity closes, and the part goes at once to the caller's consumer.  The
+risk path folds each part into the running sums of its measures and drops
+it, so it holds no index.  Only library callers join a size's parts, at the
+end, into arrays allocated at its final count, each part released once
+copied.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -81,7 +87,7 @@ import itertools
 import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -214,6 +220,18 @@ class CandidateIndex:
                 columns += [(word >> (self._bits * (n - 1 - i))) & mask for i in range(n)]
             yield lo, np.stack(columns, axis=1)
 
+    def parts(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(keys, cardinalities, entropy sums) of each first activity's candidates.
+
+        These are the parts the enumeration pass handed over, first
+        activities ascending.  The first activity sits in the top bits of
+        key word 0.
+        """
+        first = self._keys[:, 0] >> (self._bits * (min(63 // self._bits, self.size) - 1))
+        cuts = np.flatnonzero(np.diff(first)) + 1
+        arrays = (self._keys, self._cards, self._entsums)
+        return zip(*(np.split(a, cuts) for a in arrays)) if len(first) else iter(())
+
     def candidates(self) -> Iterator[Candidate]:
         for _, block in self._element_blocks():
             for elements in block.tolist():
@@ -302,18 +320,26 @@ def _group(keys: np.ndarray, cards: np.ndarray, ents: np.ndarray):
     )
 
 
+class _Parts(list):
+    """The library's consumer: a size's parts, held until the pass ends."""
+
+    def __call__(self, *part) -> None:
+        self.append(part)
+
+
 class _Reduction:
     """The candidates of one requested size, reduced while the pass runs.
 
     Leaves that reach ``size`` are held until they reach a limit, then folded
     into ``acc``: dense bins over a first activity's key span, or that first
     activity's sorted (keys, cardinalities, entropy sums).  Each first
-    activity's candidates become one part, and the parts are joined once the
-    pass ends.  Past ``cap`` distinct candidates the reduction stops and
-    ``error`` holds the :class:`CandidateLimitError`.
+    activity's candidates become one part, handed to ``consumer`` as the
+    first activity closes.  Past ``cap`` distinct candidates the reduction
+    stops, drops its consumer, and ``error`` holds the
+    :class:`CandidateLimitError`.
     """
 
-    def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights):
+    def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights, consumer):
         self.bk_type, self.size, self.cap = bk_type, size, cap
         self.weights = weights  # each table row's trace count and count * log2 count
         self.n_words = -(-size // (63 // bits))
@@ -326,7 +352,7 @@ class _Reduction:
         # those it filled.
         self.acc = [np.zeros(self.span), np.zeros(self.span)] if self.dense else None
         self.leaves, self.ones, self.held, self.opened = [], [], 0, False
-        self.parts, self.found, self.error = [], 0, None
+        self.consumer, self.found, self.error = consumer, 0, None
 
     def hold(self, keys: np.ndarray, pos: np.ndarray, ones=None) -> None:
         """Hold leaves as keys and the table position each was reached at.
@@ -378,10 +404,10 @@ class _Reduction:
     def check(self, count: int) -> None:
         if count > self.cap:
             self.error = CandidateLimitError(self.bk_type, self.size, count=count, cap=self.cap)
-            self.acc, self.leaves, self.ones, self.parts = None, [], [], []
+            self.acc, self.leaves, self.ones, self.consumer = None, [], [], None
 
     def close(self, a: int) -> None:
-        """End first activity ``a``: its candidates become one part."""
+        """End first activity ``a``: its candidates, if any, go to the consumer as one part."""
         if not self.opened:
             return
         self.opened = False
@@ -396,15 +422,19 @@ class _Reduction:
                 b[present] = 0
         else:
             part, self.acc = self.acc, None
-        self.parts.append((part[0], part[1].astype(np.int64), part[2]))
         self.found += len(part[1])
         self.check(self.found)
+        if self.error is None and len(part[1]):
+            self.consumer(part[0], part[1].astype(np.int64), part[2])
 
     def index(self, labels: Sequence[str], bits: int) -> CandidateIndex:
-        """Join the parts into arrays of the final length, releasing each once copied."""
+        """Join the parts of the :class:`_Parts` consumer into arrays of the final length.
+
+        Each part is released once copied.
+        """
         keys = np.empty((self.found, self.n_words), dtype=np.int64)
         cards, ents = np.empty(self.found, dtype=np.int64), np.empty(self.found)
-        parts, self.parts = self.parts[::-1], []
+        parts, self.consumer = self.consumer[::-1], None
         at = 0
         while parts:
             part_keys, part_cards, part_ents = parts.pop()
@@ -419,7 +449,9 @@ def enumerate_candidates(
     bk_type: BkType,
     sizes: int | Iterable[int],
     cap: int = DEFAULT_CANDIDATE_CAP,
-) -> CandidateIndex | dict[int, CandidateIndex | CandidateLimitError]:
+    *,
+    fold: Callable[[], Callable[[np.ndarray, np.ndarray, np.ndarray], None]] | None = None,
+):
     """Build the index of all candidates of each requested size with matching traces.
 
     The frontier grows one activity per level inside each variant's view
@@ -449,6 +481,14 @@ def enumerate_candidates(
     collection a dict maps each distinct size, ascending, to its index or,
     past ``cap``, to its :class:`CandidateLimitError`; a size over the cap
     stops its own reduction, and the other sizes still finish.
+
+    ``fold``, when given, takes the place of the indices.  It is called with
+    no arguments once per requested size, and what it returns is called with
+    each non-empty part of that size, ``(keys, cardinalities, entropy
+    sums)`` of one first activity's candidates, as soon as that first
+    activity closes, first activities ascending.  The result then holds each
+    size's consumer where it would hold the index, and a size over the cap
+    drops its consumer.  No index is built.
     """
     single = isinstance(sizes, numbers.Integral)
     wanted = sorted({int(s) for s in ((sizes,) if single else sizes)})
@@ -470,7 +510,8 @@ def enumerate_candidates(
     counts = np.repeat(np.asarray(log.counts, dtype=np.float64), np.diff(starts, append=len(end)))
     unit = counts == 1
     weights = (counts, counts * np.log2(counts))
-    reductions = [_Reduction(bk_type, size, bits, cap, weights) for size in wanted]
+    reductions = [_Reduction(bk_type, size, bits, cap, weights, (fold or _Parts)())
+                  for size in wanted]
     # Rows per expansion step.  Their table block is padded to a power of
     # two wide, so it holds at most ``2 * _FRONTIER_CAP`` cells.
     chunk = max(1, _FRONTIER_CAP // n_labels)
@@ -574,7 +615,7 @@ def enumerate_candidates(
 
     for r in reductions:
         r.acc = None  # the dense bins are not held while the indices are joined
-    found = {r.size: r.index(log.labels, bits) if r.error is None else r.error for r in reductions}
+    found = {r.size: r.error or (r.consumer if fold else r.index(log.labels, bits)) for r in reductions}
     if not single:
         return found
     if isinstance(found[wanted[0]], CandidateLimitError):

@@ -3,7 +3,15 @@
 Case disclosure is the (average or worst-case) uniqueness of the traces
 matching a candidate; trace disclosure is one minus the (average or
 worst-case) normalized entropy of those matching traces.  Both live in
-[0, 1] and are computed in canonical candidate order.
+[0, 1].
+
+A cell's measures need only five running sums over its candidates: their
+count, the sum and maximum of 1 / cardinality, and the sum and minimum of
+the normalized entropy.  They are folded one first activity's candidates
+at a time, in canonical order: :func:`risk_profile` folds each part as the
+enumeration pass closes it and keeps no index, and :func:`case_disclosure`
+and :func:`trace_disclosure` fold a library index's parts the same way, so
+both give the same floats.
 """
 
 from __future__ import annotations
@@ -50,31 +58,49 @@ class RiskProfile:
     failures: Mapping[tuple[BkType, int], str]
 
 
-def _require_candidates(index: CandidateIndex) -> None:
+class _Sums:
+    """A cell's running sums, fed one non-empty part of its candidates at a time."""
+
+    def __init__(self):
+        self.n, self.uniq_sum, self.uniq_max, self.ratio_sum, self.ratio_min = 0, 0.0, 0.0, 0.0, 1.0
+
+    def __call__(self, keys: np.ndarray, cards: np.ndarray, entsums: np.ndarray) -> None:
+        card = cards.astype(np.float64)
+        uniqueness = 1.0 / card
+        # The normalized entropy, in place over two arrays of the part's
+        # length.  A candidate matching a single trace copy has ratio 0: its
+        # entropy sum and log2(1) are 0, and it is divided by 1, not 0.
+        ent = entsums / card
+        max_ent = np.log2(card, out=card)
+        ratios = np.subtract(max_ent, ent, out=ent)
+        np.divide(ratios, np.maximum(max_ent, 1.0, out=max_ent), out=ratios)
+        # Guard float noise; a ratio outside [0, 1] is meaningless.
+        np.clip(ratios, 0.0, 1.0, out=ratios)
+        self.n += len(cards)
+        self.uniq_sum += float(uniqueness.sum())
+        self.uniq_max = max(self.uniq_max, float(uniqueness.max()))
+        self.ratio_sum += float(ratios.sum())
+        self.ratio_min = min(self.ratio_min, float(ratios.min()))
+
+    def scores(self, aggregation: Aggregation) -> tuple[float, float]:
+        """Case and trace disclosure over the candidates folded so far."""
+        if aggregation is Aggregation.WORST:
+            return self.uniq_max, 1.0 - self.ratio_min
+        return self.uniq_sum / self.n, 1.0 - self.ratio_sum / self.n
+
+
+def _fold(index: CandidateIndex) -> _Sums:
     if index.candidate_count == 0:
         raise ValueError("no candidates at this size")
+    sums = _Sums()
+    for part in index.parts():
+        sums(*part)
+    return sums
 
 
 def case_disclosure(index: CandidateIndex, aggregation: Aggregation = Aggregation.AVERAGE) -> float:
     """Uniqueness of matching traces, averaged (or maximized) over candidates."""
-    _require_candidates(index)
-    uniqueness = 1.0 / index.cardinalities()
-    if aggregation is Aggregation.WORST:
-        return float(uniqueness.max())
-    return float(uniqueness.mean())
-
-
-def _normalized_entropy_ratios(index: CandidateIndex) -> np.ndarray:
-    # In place over two float arrays of the index's length.
-    card = index.cardinalities().astype(np.float64)
-    repeated = card > 1
-    ent = index.entropy_sums() / card
-    max_ent = np.log2(card, out=card)
-    np.subtract(max_ent, ent, out=ent)
-    ratio = np.divide(ent, max_ent, out=ent, where=repeated)
-    ratio[~repeated] = 0.0
-    # Guard float noise; a ratio outside [0, 1] is meaningless.
-    return np.clip(ratio, 0.0, 1.0, out=ratio)
+    return _fold(index).scores(aggregation)[0]
 
 
 def trace_disclosure(index: CandidateIndex, aggregation: Aggregation = Aggregation.AVERAGE) -> float:
@@ -84,11 +110,7 @@ def trace_disclosure(index: CandidateIndex, aggregation: Aggregation = Aggregati
     is taken; a candidate matching a single trace copy has ratio 0 by
     convention (the trace is revealed with certainty).
     """
-    _require_candidates(index)
-    ratios = _normalized_entropy_ratios(index)
-    if aggregation is Aggregation.WORST:
-        return 1.0 - float(ratios.min())
-    return 1.0 - float(ratios.mean())
+    return _fold(index).scores(aggregation)[1]
 
 
 def risk_profile(
@@ -100,9 +122,11 @@ def risk_profile(
 ) -> RiskProfile:
     """Compute one RiskScore per (type, size) cell of the requested grid.
 
-    Each type is enumerated in one pass over all requested sizes.  Cells
-    whose enumeration hits the candidate cap are recorded in ``failures``
-    with the error text; the remaining cells are still computed.
+    Each distinct type is enumerated in one pass over all requested sizes,
+    which folds each first activity's candidates into the cell's sums as
+    it closes.  Cells whose enumeration hits the candidate cap are recorded
+    in ``failures`` with the error text; the remaining cells are still
+    computed.
     """
     type_list = list(types)
     size_list = list(sizes)
@@ -113,25 +137,25 @@ def risk_profile(
     scores: dict[tuple[BkType, int], RiskScore] = {}
     skipped: dict[tuple[BkType, int], str] = {}
     failures: dict[tuple[BkType, int], str] = {}
-    for bk_type in type_list:
-        found = enumerate_candidates(log, bk_type, size_list, cap=cap)
+    # A repeated type or size keeps its first place in grid order.
+    for bk_type in dict.fromkeys(type_list):
+        found = enumerate_candidates(log, bk_type, size_list, cap=cap, fold=_Sums)
         for size in size_list:
-            # Each size's index is released once scored; a repeated size
-            # keeps its first place in grid order.
-            index = found.pop(size, None)
-            if index is None:
+            sums = found.pop(size, None)
+            if sums is None:
                 continue
-            if isinstance(index, CandidateLimitError):
-                failures[(bk_type, size)] = str(index)
-            elif index.candidate_count == 0:
+            if isinstance(sums, CandidateLimitError):
+                failures[(bk_type, size)] = str(sums)
+            elif sums.n == 0:
                 skipped[(bk_type, size)] = "no candidates at this size"
             else:
+                cd, td = sums.scores(aggregation)
                 scores[(bk_type, size)] = RiskScore(
                     bk_type=bk_type,
                     size=size,
-                    cd=case_disclosure(index, aggregation),
-                    td=trace_disclosure(index, aggregation),
-                    n_candidates=index.candidate_count,
+                    cd=cd,
+                    td=td,
+                    n_candidates=sums.n,
                     aggregation=aggregation,
                 )
     return RiskProfile(scores=scores, skipped=skipped, failures=failures)

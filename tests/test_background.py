@@ -444,6 +444,29 @@ class TestMultiSize:
         with pytest.raises(ValueError, match="cap must be >= 1"):
             enumerate_candidates(example1_log, BkType.SET, 2, cap=0)
 
+    def test_fold_gets_the_parts_an_index_splits_into(self, monkeypatch):
+        # ``fold`` gets each first activity's candidates as one part, and an
+        # index splits into the same parts by the top bits of key word 0.
+        def assert_same_parts(handed, index):
+            split = list(index.parts())
+            assert len(handed) == len(split)
+            for got, expected in zip(handed, split):
+                for x, y in zip(got, expected):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
+        for _ in each_reduction(monkeypatch):
+            for log, kind in itertools.product(self.logs(606), KINDS):
+                handed = enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4], fold=bg._Parts)
+                for size, index in enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4]).items():
+                    assert_same_parts(handed[size], index)
+        # 70 activities need 7 bits each, so size 10 needs two key words.
+        labels = [f"x{i:02d}" for i in range(70)]
+        log = EventLog.from_counts({tuple(labels[lo : lo + 12]): 2 for lo in range(0, 60, 6)})
+        handed = enumerate_candidates(log, BkType.SEQUENCE, [9, 10], fold=bg._Parts)
+        for size, index in enumerate_candidates(log, BkType.SEQUENCE, [9, 10]).items():
+            assert_same_parts(handed[size], index)
+        assert len(handed[10]) == 30
+
 
 # Permutations of one another: every variant's set view is abc, and the three
 # of four events share the multiset view abbc, yet each must add its own count.

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logprivacy.risk
 from logprivacy import (
     Aggregation,
     BkType,
+    CandidateIndex,
     EventLog,
     case_disclosure,
     enumerate_candidates,
     risk_profile,
     trace_disclosure,
 )
-from oracles import naive_case_disclosure, naive_trace_disclosure, random_log
+from oracles import markov_log_pair, naive_case_disclosure, naive_trace_disclosure, random_log
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
 
@@ -161,6 +163,65 @@ class TestRiskProfile:
         assert score.size == 2
         assert score.aggregation is Aggregation.WORST
         assert score.n_candidates > 0
+
+
+class TestFoldedProfile:
+    """``risk_profile`` folds each first activity's part as the pass closes it."""
+
+    def test_profile_equals_the_measures_of_library_indices(
+        self, example1_log, example2_l1, example2_l2, example3_original
+    ):
+        # Markov logs have repeated variants and many first activities.
+        logs = [example1_log, example2_l1, example2_l2, example3_original,
+                markov_log_pair(3, 200, 6)[0], markov_log_pair(5, 300, 4)[0]]
+        sizes = [1, 2, 3, 4, 5]
+        for log in logs:
+            for aggregation in Aggregation:
+                profile = risk_profile(log, list(BkType), sizes, aggregation)
+                for bk_type in BkType:
+                    for size, index in enumerate_candidates(log, bk_type, sizes).items():
+                        if index.candidate_count == 0:
+                            assert (bk_type, size) in profile.skipped
+                            continue
+                        score = profile.scores[(bk_type, size)]
+                        assert score.n_candidates == index.candidate_count
+                        assert score.cd == case_disclosure(index, aggregation)
+                        assert score.td == trace_disclosure(index, aggregation)
+
+    def test_a_size_over_the_cap_mid_pass_leaves_the_others_scored(self):
+        # seq has 216 candidates at size 3 under each of the six first
+        # activities: size 4 passes the cap at the third, size 5 at the first.
+        log = markov_log_pair(3, 200, 6)[0]
+        seq = BkType.SEQUENCE
+        capped = risk_profile(log, [seq], [1, 2, 3, 4, 5], cap=600)
+        assert capped.failures == {
+            (seq, 4): "candidate enumeration for type='seq' size=4 reached 648 candidates, "
+                      "exceeding the cap of 600",
+            (seq, 5): "candidate enumeration for type='seq' size=5 reached 1296 candidates, "
+                      "exceeding the cap of 600",
+        }
+        assert capped.scores == risk_profile(log, [seq], [1, 2, 3]).scores
+
+    def test_the_risk_path_builds_no_index(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("risk_profile built a CandidateIndex")
+
+        monkeypatch.setattr(CandidateIndex, "__init__", refuse)
+        profile = risk_profile(markov_log_pair(3, 200, 6)[0], list(BkType), [1, 2, 3, 4])
+        assert len(profile.scores) == 12
+
+    def test_a_repeated_type_is_enumerated_once(self, example1_log, monkeypatch):
+        passes = []
+
+        def counted(log, bk_type, *args, **kwargs):
+            passes.append(bk_type)
+            return enumerate_candidates(log, bk_type, *args, **kwargs)
+
+        monkeypatch.setattr(logprivacy.risk, "enumerate_candidates", counted)
+        set_, seq = BkType.SET, BkType.SEQUENCE
+        profile = risk_profile(example1_log, [set_, seq, set_], [1, 2])
+        assert passes == [set_, seq]
+        assert list(profile.scores) == [(set_, 1), (set_, 2), (seq, 1), (seq, 2)]
 
 
 @pytest.mark.skipif(
