@@ -41,10 +41,11 @@ Sepsis-shaped log (16 activities) it takes 0.94 MB for subsequences and
 multisets and 0.55 MB for sets, and the arrays beside it 0.31 MB and
 0.18 MB; 100k variants of 50 events over 200 activities (256 codes) would
 need about 5.2 GB.  The table is a function of the views alone, so building
-it per block of views is one call on a slice of them.  Keys are fixed-width packed integers, split over several 63-bit words
-when the alphabet and size need more bits, and held as one (rows, words)
-int64 array by the frontier, the reductions and the index alike; a row's key
-at a level is the key of its candidate of that size.
+it per block of views is one call on a slice of them.  Keys are fixed-width
+packed integers, split over several 63-bit words when the alphabet and size
+need more bits, and held as one (rows, words) int64 array by the frontier,
+the reductions and the index alike; a row's key at a level is the key of
+its candidate of that size.
 
 Every requested level is reduced during the pass, straight to each
 candidate's cardinality and entropy sum, by a reduction of its own that
@@ -68,11 +69,11 @@ so one pass may use both.  A size whose candidates exceed the cap stops its
 own reduction, and what its consumer got so far is dropped; the others finish.
 
 Each first activity's candidates of a size become one part as the first
-activity closes, and the part goes at once to the caller's consumer.  The
+activity closes, and the part goes at once to the size's consumer.  The
 risk path folds each part into the running sums of its measures and drops
-it, so it holds no index.  Only library callers join a size's parts, at the
-end, into arrays allocated at its final count, each part released once
-copied.
+it, so it holds no index.  A library caller's consumer is the size's index,
+which keeps the parts as they came and joins them only when asked for a
+whole array.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -175,75 +176,67 @@ def project(log: EventLog, candidate: Candidate) -> Projection:
 class CandidateIndex:
     """All size-l candidates of one type with non-empty projections.
 
-    Candidates live in canonical ascending order as packed keys, one row
-    each of a (candidates, words) int64 array.  Besides the keys the index holds only what the
-    risk measures read: each candidate's multiplicity-weighted projection
-    size and its entropy sum ``sum(count * log2 count)`` over matching
-    variants, plus the activity labels :meth:`write_csv` prints.  A
-    candidate's matching traces come from :func:`project`.
+    The index is the enumeration pass's default consumer: it keeps the parts
+    the pass hands it, one per first activity, first activities ascending.
+    A part is (keys, cardinalities, entropy sums) of its candidates in
+    canonical ascending order; its keys are packed, one row each of a
+    (candidates, words) int64 array.  Besides the keys the index holds only
+    what the risk measures read: each candidate's multiplicity-weighted
+    projection size and its entropy sum ``sum(count * log2 count)`` over
+    matching variants, plus the activity labels :meth:`write_csv` prints.
+    :meth:`cardinalities` and :meth:`entropy_sums` join the parts on each
+    call.  A candidate's matching traces come from :func:`project`.
     """
 
-    def __init__(
-        self,
-        labels: Sequence[str],
-        bk_type: BkType,
-        size: int,
-        keys: np.ndarray,
-        bits: int,
-        cards: np.ndarray,
-        entsums: np.ndarray,
-    ):
+    def __init__(self, labels: Sequence[str], bk_type: BkType, size: int, bits: int):
         self._labels = tuple(labels)
-        self.bk_type = bk_type
-        self.size = size
-        self._keys = keys
-        self._bits = bits
-        self._cards = cards
-        self._entsums = entsums
+        self.bk_type, self.size, self._bits = bk_type, size, bits
+        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def __call__(self, keys: np.ndarray, cards: np.ndarray, entsums: np.ndarray) -> None:
+        self._parts.append((keys, cards, entsums))
 
     @property
     def candidate_count(self) -> int:
-        return len(self._cards)
+        return sum(len(cards) for _, cards, _ in self._parts)
 
-    def _element_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+    def _element_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The activity ids of the candidates, one row each, decoded from the keys.
 
-        Yields (first position, ids) for blocks of at most 65,536 candidates.
+        Yields (ids, cardinalities) for blocks of at most 65,536 candidates
+        of one part.
         """
         mask = (1 << self._bits) - 1
         per_word = 63 // self._bits
         step = 1 << 16
-        for lo in range(0, self.candidate_count, step):
-            columns = []
-            for w, word in enumerate(self._keys[lo : lo + step].T):
-                n = min(per_word, self.size - w * per_word)
-                columns += [(word >> (self._bits * (n - 1 - i))) & mask for i in range(n)]
-            yield lo, np.stack(columns, axis=1)
+        for keys, cards, _ in self._parts:
+            for lo in range(0, len(cards), step):
+                columns = []
+                for w, word in enumerate(keys[lo : lo + step].T):
+                    n = min(per_word, self.size - w * per_word)
+                    columns += [(word >> (self._bits * (n - 1 - i))) & mask for i in range(n)]
+                yield np.stack(columns, axis=1), cards[lo : lo + step]
 
     def parts(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(keys, cardinalities, entropy sums) of each first activity's candidates.
 
         These are the parts the enumeration pass handed over, first
-        activities ascending.  The first activity sits in the top bits of
-        key word 0.
+        activities ascending.
         """
-        first = self._keys[:, 0] >> (self._bits * (min(63 // self._bits, self.size) - 1))
-        cuts = np.flatnonzero(np.diff(first)) + 1
-        arrays = (self._keys, self._cards, self._entsums)
-        return zip(*(np.split(a, cuts) for a in arrays)) if len(first) else iter(())
+        return iter(self._parts)
 
     def candidates(self) -> Iterator[Candidate]:
-        for _, block in self._element_blocks():
+        for block, _ in self._element_blocks():
             for elements in block.tolist():
                 yield Candidate(self.bk_type, tuple(elements))
 
     def cardinalities(self) -> np.ndarray:
         """Multiplicity-weighted projection size per candidate, canonical order."""
-        return self._cards
+        return np.concatenate([np.empty(0, dtype=np.int64), *(c for _, c, _ in self._parts)])
 
     def entropy_sums(self) -> np.ndarray:
         """Per candidate: sum over matching variants of count*log2(count)."""
-        return self._entsums
+        return np.concatenate([np.empty(0), *(e for _, _, e in self._parts)])
 
     def write_csv(self, out: TextIO) -> None:
         """Debug dump: one ``candidate,cardinality`` CSV row in canonical order.
@@ -264,14 +257,13 @@ class CandidateIndex:
         inner = [c[1:-1] if q else c for c, q in zip(cells, quoted)]
         first = np.array(inner, dtype=object)
         later = np.array(["|" + c for c in inner], dtype=object)
-        for lo, part in self._element_blocks():
+        for part, cards in self._element_blocks():
             name = first[part[:, 0]]
             for column in part.T[1:]:
                 name = name + later[column]
             wrap = quoted[part].any(axis=1)
             name[wrap] = '"' + name[wrap] + '"'
-            cards = self._cards[lo : lo + len(part)].tolist()
-            out.writelines(f"{n},{c}\n" for n, c in zip(name.tolist(), cards))
+            out.writelines(f"{n},{c}\n" for n, c in zip(name.tolist(), cards.tolist()))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -318,13 +310,6 @@ def _group(keys: np.ndarray, cards: np.ndarray, ents: np.ndarray):
         np.add.reduceat(cards[order], starts),
         np.add.reduceat(ents[order], starts),
     )
-
-
-class _Parts(list):
-    """The library's consumer: a size's parts, held until the pass ends."""
-
-    def __call__(self, *part) -> None:
-        self.append(part)
 
 
 class _Reduction:
@@ -427,22 +412,6 @@ class _Reduction:
         if self.error is None and len(part[1]):
             self.consumer(part[0], part[1].astype(np.int64), part[2])
 
-    def index(self, labels: Sequence[str], bits: int) -> CandidateIndex:
-        """Join the parts of the :class:`_Parts` consumer into arrays of the final length.
-
-        Each part is released once copied.
-        """
-        keys = np.empty((self.found, self.n_words), dtype=np.int64)
-        cards, ents = np.empty(self.found, dtype=np.int64), np.empty(self.found)
-        parts, self.consumer = self.consumer[::-1], None
-        at = 0
-        while parts:
-            part_keys, part_cards, part_ents = parts.pop()
-            stop = at + len(part_cards)
-            keys[at:stop], cards[at:stop], ents[at:stop] = part_keys, part_cards, part_ents
-            at = stop
-        return CandidateIndex(labels, self.bk_type, self.size, keys, bits, cards, ents)
-
 
 def enumerate_candidates(
     log: EventLog,
@@ -475,23 +444,28 @@ def enumerate_candidates(
     sorting is chosen for each size from the alphabet's width and the size
     alone, so one pass may use both.
 
-    ``sizes`` is one size or a collection of them.  For one size the index
-    is returned, and more than ``cap`` distinct candidates raise
+    ``sizes`` is one size or a collection of them, each an integer; any
+    other size raises ``ValueError``.  For one size the index is returned,
+    and more than ``cap`` distinct candidates raise
     :class:`CandidateLimitError` rather than return a partial index.  For a
     collection a dict maps each distinct size, ascending, to its index or,
     past ``cap``, to its :class:`CandidateLimitError`; a size over the cap
     stops its own reduction, and the other sizes still finish.
 
-    ``fold``, when given, takes the place of the indices.  It is called with
-    no arguments once per requested size, and what it returns is called with
-    each non-empty part of that size, ``(keys, cardinalities, entropy
-    sums)`` of one first activity's candidates, as soon as that first
-    activity closes, first activities ascending.  The result then holds each
-    size's consumer where it would hold the index, and a size over the cap
-    drops its consumer.  No index is built.
+    Each size's candidates go to a consumer, one non-empty part at a time:
+    ``(keys, cardinalities, entropy sums)`` of one first activity's
+    candidates, as soon as that first activity closes, first activities
+    ascending.  By default a size's consumer is its :class:`CandidateIndex`,
+    which keeps the parts.  ``fold``, when given, is called with no
+    arguments once per requested size, and what it returns is that size's
+    consumer; no index is built.  The result holds each size's consumer,
+    and a size over the cap drops its consumer.
     """
-    single = isinstance(sizes, numbers.Integral)
-    wanted = sorted({int(s) for s in ((sizes,) if single else sizes)})
+    single = not isinstance(sizes, Iterable)
+    given = (sizes,) if single else tuple(sizes)
+    if not all(isinstance(s, numbers.Integral) for s in given):
+        raise ValueError("candidate sizes must be integers")
+    wanted = sorted({int(s) for s in given})
     if not wanted:
         raise ValueError("at least one candidate size is required")
     if wanted[0] < 1:
@@ -510,7 +484,8 @@ def enumerate_candidates(
     counts = np.repeat(np.asarray(log.counts, dtype=np.float64), np.diff(starts, append=len(end)))
     unit = counts == 1
     weights = (counts, counts * np.log2(counts))
-    reductions = [_Reduction(bk_type, size, bits, cap, weights, (fold or _Parts)())
+    reductions = [_Reduction(bk_type, size, bits, cap, weights,
+                             fold() if fold else CandidateIndex(log.labels, bk_type, size, bits))
                   for size in wanted]
     # Rows per expansion step.  Their table block is padded to a power of
     # two wide, so it holds at most ``2 * _FRONTIER_CAP`` cells.
@@ -613,9 +588,7 @@ def enumerate_candidates(
         for r in live.values():
             r.close(a)
 
-    for r in reductions:
-        r.acc = None  # the dense bins are not held while the indices are joined
-    found = {r.size: r.error or (r.consumer if fold else r.index(log.labels, bits)) for r in reductions}
+    found = {r.size: r.error or r.consumer for r in reductions}
     if not single:
         return found
     if isinstance(found[wanted[0]], CandidateLimitError):

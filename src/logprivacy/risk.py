@@ -16,6 +16,7 @@ both give the same floats.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
@@ -126,12 +127,17 @@ def risk_profile(
     which folds each first activity's candidates into the cell's sums as
     it closes.  Cells whose enumeration hits the candidate cap are recorded
     in ``failures`` with the error text; the remaining cells are still
-    computed.
+    computed.  No types, no sizes, or a size that is not an integer >= 1
+    raise ``ValueError`` before any pass.
     """
     type_list = list(types)
     size_list = list(sizes)
+    if not type_list:
+        raise ValueError("at least one background-knowledge type is required")
     if not size_list:
         raise ValueError("at least one background-knowledge size is required")
+    if not all(isinstance(s, numbers.Integral) for s in size_list):
+        raise ValueError("background-knowledge sizes must be integers")
     if any(s < 1 for s in size_list):
         raise ValueError("background-knowledge sizes must be >= 1")
     scores: dict[tuple[BkType, int], RiskScore] = {}

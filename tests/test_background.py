@@ -435,10 +435,13 @@ class TestMultiSize:
         index = enumerate_candidates(example1_log, BkType.SET, 2)
         assert_same_index(enumerate_candidates(example1_log, BkType.SET, [2])[2], index)
         assert_same_index(enumerate_candidates(example1_log, BkType.SET, np.int64(2)), index)
+        assert_same_index(enumerate_candidates(example1_log, BkType.SET, [np.int32(2)])[2], index)
         with pytest.raises(CandidateLimitError):
             enumerate_candidates(example1_log, BkType.SET, 2, cap=3)
         assert isinstance(enumerate_candidates(example1_log, BkType.SET, (2,), cap=3)[2], CandidateLimitError)
-        for sizes in ([], [0, 1], 0):
+        # A size that is not an integer is refused: 2.5 was once enumerated
+        # as size 2 and returned under key 2.
+        for sizes in ([], [0, 1], 0, 2.5, np.float64(2), [2.5], [2.5, 1], [1, 2.0], "2"):
             with pytest.raises(ValueError):
                 enumerate_candidates(example1_log, BkType.SET, sizes)
         with pytest.raises(ValueError, match="cap must be >= 1"):
@@ -446,26 +449,82 @@ class TestMultiSize:
 
     def test_fold_gets_the_parts_an_index_splits_into(self, monkeypatch):
         # ``fold`` gets each first activity's candidates as one part, and an
-        # index splits into the same parts by the top bits of key word 0.
+        # index keeps the same parts.
+        class Handed(list):
+            def __call__(self, *part):
+                self.append(part)
+
         def assert_same_parts(handed, index):
-            split = list(index.parts())
-            assert len(handed) == len(split)
-            for got, expected in zip(handed, split):
+            kept = list(index.parts())
+            assert len(handed) == len(kept)
+            for got, expected in zip(handed, kept):
                 for x, y in zip(got, expected):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
+            # Each part is one first activity's candidates, ascending.
+            firsts = [c.elements[0] for c in index.candidates()]
+            at, part_firsts = 0, []
+            for _, cards, _ in kept:
+                assert len(cards) > 0
+                assert len(set(firsts[at : at + len(cards)])) == 1
+                part_firsts.append(firsts[at])
+                at += len(cards)
+            assert at == len(firsts) == index.candidate_count
+            assert part_firsts == sorted(set(part_firsts))
+            for i, whole in ((1, index.cardinalities()), (2, index.entropy_sums())):
+                joined = np.concatenate([part[i] for part in kept]) if kept else whole[:0]
+                assert joined.dtype == whole.dtype and np.array_equal(joined, whole)
 
-        for _ in each_reduction(monkeypatch):
-            for log, kind in itertools.product(self.logs(606), KINDS):
-                handed = enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4], fold=bg._Parts)
-                for size, index in enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4]).items():
-                    assert_same_parts(handed[size], index)
         # 70 activities need 7 bits each, so size 10 needs two key words.
         labels = [f"x{i:02d}" for i in range(70)]
-        log = EventLog.from_counts({tuple(labels[lo : lo + 12]): 2 for lo in range(0, 60, 6)})
-        handed = enumerate_candidates(log, BkType.SEQUENCE, [9, 10], fold=bg._Parts)
-        for size, index in enumerate_candidates(log, BkType.SEQUENCE, [9, 10]).items():
-            assert_same_parts(handed[size], index)
-        assert len(handed[10]) == 30
+        wide = EventLog.from_counts({tuple(labels[lo : lo + 12]): 2 for lo in range(0, 60, 6)})
+        for _ in each_reduction(monkeypatch):
+            for log, kind in itertools.product(self.logs(606), KINDS):
+                handed = enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4], fold=Handed)
+                for size, index in enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4]).items():
+                    assert_same_parts(handed[size], index)
+            handed = enumerate_candidates(wide, BkType.SEQUENCE, [9, 10], fold=Handed)
+            for size, index in enumerate_candidates(wide, BkType.SEQUENCE, [9, 10]).items():
+                assert_same_parts(handed[size], index)
+            assert len(handed[10]) == 30
+
+
+class TestDecoding:
+    """Candidates and dump rows are decoded part by part, in blocks of rows."""
+
+    labels = [f"a{i:02d}" for i in range(30)]
+
+    def test_blocks_inside_one_part(self):
+        # One trace of 30 distinct activities: seq/6 has C(30, 6) = 593,775
+        # candidates, and the part of a00 holds C(29, 5) = 118,755, more than
+        # one block of 65,536 rows.
+        log = EventLog.from_counts({tuple(self.labels): 3})
+        assert list(log.labels) == self.labels
+        index = enumerate_candidates(log, BkType.SEQUENCE, 6)
+        assert len(next(index.parts())[1]) == 118_755
+        assert index.candidate_count == 593_775
+        decoded = (c.elements for c in index.candidates())
+        pairs = itertools.zip_longest(decoded, itertools.combinations(range(30), 6))
+        assert all(got == expected for got, expected in pairs)
+        assert np.array_equal(index.cardinalities(), np.full(593_775, 3))
+        out = io.StringIO()
+        index.write_csv(out)
+        out.seek(0)
+        assert next(out) == "candidate,cardinality\n"
+        rows = (
+            "|".join(self.labels[a] for a in c) + ",3\n"
+            for c in itertools.combinations(range(30), 6)
+        )
+        assert all(got == expected for got, expected in itertools.zip_longest(out, rows))
+
+    def test_an_empty_index(self):
+        index = enumerate_candidates(EventLog.from_counts({tuple(self.labels): 3}), BkType.SEQUENCE, 31)
+        assert index.candidate_count == 0
+        assert list(index.parts()) == [] and list(index.candidates()) == []
+        for got, dtype in ((index.cardinalities(), np.int64), (index.entropy_sums(), np.float64)):
+            assert got.dtype == dtype and got.shape == (0,)
+        out = io.StringIO()
+        index.write_csv(out)
+        assert out.getvalue() == "candidate,cardinality\n"
 
 
 # Permutations of one another: every variant's set view is abc, and the three

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,22 @@ class TestRiskProfile:
             risk_profile(example1_log, [BkType.SET], [])
         with pytest.raises(ValueError):
             risk_profile(example1_log, [BkType.SET], [0])
+        with pytest.raises(ValueError, match="type"):
+            risk_profile(example1_log, [], [1])
+
+    def test_non_integer_sizes_rejected_before_any_pass(self, example1_log, monkeypatch):
+        # A size of 2.5 was once enumerated as size 2 and then filed under no
+        # cell, so the profile did not partition the grid.
+        def refuse(*args, **kwargs):
+            raise AssertionError("risk_profile ran a pass")
+
+        with monkeypatch.context() as m:
+            m.setattr(logprivacy.risk, "enumerate_candidates", refuse)
+            for sizes in ([2.5, 1], [1, 2.0], ["1"]):
+                with pytest.raises(ValueError, match="integers"):
+                    risk_profile(example1_log, [BkType.SEQUENCE, BkType.SET], sizes)
+        profile = risk_profile(example1_log, [BkType.SET], [np.int64(2)])
+        assert set(profile.scores) == {(BkType.SET, 2)}
 
     def test_grid_order_follows_the_sizes_as_given(self):
         # Size 3: four sequences, no set.  Size 1: two of each.
