@@ -32,11 +32,12 @@ largest, and a row is dropped as soon as it cannot reach the smallest
 requested size still ahead of it.  Candidates with different first
 activities have disjoint key ranges, so each first activity is grown on its
 own: its first level is read from the table's column at each view's start,
-and it is expanded depth first in chunks of a bounded number of rows, so the
-frontier's memory stays bounded however long the traces are.  The table is
-built once per pass and not chunked: it holds one int32 for every event and
-every end of the views and every activity code, the alphabet rounded up to a
-power of two, so it grows with view events x alphabet.  On the benchmark's
+and it is expanded depth first in chunks of ``_FRONTIER_CAP // alphabet``
+rows (4,096 on 16 activities), so the frontier's memory stays bounded
+however long the traces are.  The table is built once per pass and not
+chunked: it holds one int32 for every event and every end of the views and
+every activity code, the alphabet rounded up to a power of two, so it grows
+with view events x alphabet.  On the benchmark's
 Sepsis-shaped log (16 activities) it takes 0.94 MB for subsequences and
 multisets and 0.55 MB for sets, and the arrays beside it 0.31 MB and
 0.18 MB; 100k variants of 50 events over 200 activities (256 codes) would
@@ -64,9 +65,10 @@ rows are weighted.  The held bins are summed whenever they fill the span, and
 the non-empty bins are the candidates in canonical order.  Wider alphabets,
 larger sizes and multi-word keys hold their rows as keys, the largest level
 like any other, and sort them with the keys so far once they outnumber both
-those keys and ``_FRONTIER_CAP``.  Dense bins or sorting is chosen per size,
-so one pass may use both.  A size whose candidates exceed the cap stops its
-own reduction, and what its consumer got so far is dropped; the others finish.
+those keys and ``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen
+per size, so one pass may use both.  A size whose candidates exceed the cap
+stops its own reduction, and what its consumer got so far is dropped; the
+others finish.
 
 Each first activity's candidates of a size become one part as the first
 activity closes, and the part goes at once to the size's consumer.  The
@@ -97,12 +99,19 @@ from .event_log import EventLog, Variant
 
 DEFAULT_CANDIDATE_CAP = 50_000_000
 
-# Frontier states examined by one expansion step; bounds its transient memory.
-_FRONTIER_CAP = 1 << 18
+# One expansion step takes ``_FRONTIER_CAP // n_labels`` rows, so this bounds
+# its temporaries and the per-level rows it leaves on the stack; it is also
+# the sorted path's smallest reduction buffer.  On the benchmark's
+# Sepsis-shaped log, the set/mult/seq grid of sizes 1-5 raised peak RSS over
+# the built log by 7.0 MB at 2**18 and by 4.8 MB at 2**16.  2**15 made the
+# seq pass and the sorted path slower.
+_FRONTIER_CAP = 1 << 16
 
 # The most keys a size's candidates under one first activity may span and
 # still be reduced into dense bins: two float64 arrays of this length, 16 MB.
-_DENSE_SPAN = _FRONTIER_CAP << 2
+# It does not follow ``_FRONTIER_CAP``, so the dense-or-sorted choice of each
+# alphabet and size stays put when the step size changes.
+_DENSE_SPAN = 1 << 20
 
 
 class BkType(Enum):
@@ -444,8 +453,9 @@ def enumerate_candidates(
     sorting is chosen for each size from the alphabet's width and the size
     alone, so one pass may use both.
 
-    ``sizes`` is one size or a collection of them, each an integer; any
-    other size raises ``ValueError``.  For one size the index is returned,
+    ``bk_type`` must be a :class:`BkType`, and ``sizes`` one size or a
+    collection of them, each an integer; anything else raises
+    ``ValueError``.  For one size the index is returned,
     and more than ``cap`` distinct candidates raise
     :class:`CandidateLimitError` rather than return a partial index.  For a
     collection a dict maps each distinct size, ascending, to its index or,
@@ -461,6 +471,8 @@ def enumerate_candidates(
     consumer; no index is built.  The result holds each size's consumer,
     and a size over the cap drops its consumer.
     """
+    if not isinstance(bk_type, BkType):
+        raise ValueError(f"unknown background-knowledge type {bk_type!r}")
     single = not isinstance(sizes, Iterable)
     given = (sizes,) if single else tuple(sizes)
     if not all(isinstance(s, numbers.Integral) for s in given):

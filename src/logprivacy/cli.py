@@ -26,7 +26,7 @@ from pathlib import Path
 from .anonymize import AnonymizationConfig, Strategy, k_anonymize
 from .background import BkType, DEFAULT_CANDIDATE_CAP, enumerate_candidates
 from .errors import CandidateLimitError, InputError, LogPrivacyError, SolverError
-from .event_log import ColumnMapping, EventLog, IngestResult, build_log, ingest_csv, ingest_xes, stats
+from .event_log import ColumnMapping, EventLog, RowError, build_log, ingest_csv, ingest_xes, stats
 from .risk import Aggregation, risk_profile
 from .utility import build_problem, data_utility, solve, utility_report, write_plan_csv
 
@@ -144,7 +144,7 @@ def _infer_format(path: str) -> str:
     return "xes" if name.endswith(".xes") else "csv"
 
 
-def _load_log(path: str, args, timing: dict[str, float]) -> tuple[EventLog, IngestResult, str]:
+def _load_log(path: str, args, timing: dict[str, float]) -> tuple[EventLog, list[RowError], str]:
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -169,15 +169,14 @@ def _load_log(path: str, args, timing: dict[str, float]) -> tuple[EventLog, Inge
     t0 = time.perf_counter()
     log = build_log(result.events)
     timing["build"] = timing.get("build", 0.0) + time.perf_counter() - t0
-    return log, result, digest
+    # The events are not kept past the build: only the errors are reported.
+    return log, result.errors, digest
 
 
-def _ingest_payload(result: IngestResult) -> dict:
+def _ingest_payload(errors: list[RowError]) -> dict:
     return {
-        "error_count": len(result.errors),
-        "first_errors": [
-            {"index": e.index, "message": e.message} for e in result.errors[:10]
-        ],
+        "error_count": len(errors),
+        "first_errors": [{"index": e.index, "message": e.message} for e in errors[:10]],
     }
 
 
@@ -228,8 +227,8 @@ def _cells_payload(profile) -> tuple[list[dict], list[dict], list[dict]]:
 
 
 def _cmd_stats(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
-    log, ingest, digest = _load_log(args.log, args, timing)
-    results = {"stats": _stats_payload(log), "ingest": _ingest_payload(ingest)}
+    log, errors, digest = _load_log(args.log, args, timing)
+    results = {"stats": _stats_payload(log), "ingest": _ingest_payload(errors)}
     return {args.log: digest}, results, EXIT_OK
 
 
@@ -240,7 +239,7 @@ def _stats_table(results: dict) -> None:
 
 
 def _cmd_risk(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
-    log, ingest, digest = _load_log(args.log, args, timing)
+    log, errors, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
     profile = risk_profile(log, args.types, args.sizes, args.aggregation, cap=args.cap)
     timing["risk"] = time.perf_counter() - t0
@@ -261,7 +260,7 @@ def _cmd_risk(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int
         "skipped": skipped,
         "failures": failures,
         "log": _stats_payload(log),
-        "ingest": _ingest_payload(ingest),
+        "ingest": _ingest_payload(errors),
     }
     return {args.log: digest}, results, EXIT_RESOURCE if failures else EXIT_OK
 
@@ -280,8 +279,8 @@ def _risk_table(results: dict) -> None:
 
 
 def _cmd_utility(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
-    original, ingest_a, digest_a = _load_log(args.original, args, timing)
-    anonymized, ingest_b, digest_b = _load_log(args.anonymized, args, timing)
+    original, _, digest_a = _load_log(args.original, args, timing)
+    anonymized, _, digest_b = _load_log(args.anonymized, args, timing)
     t0 = time.perf_counter()
     problem = build_problem(original, anonymized)
     utility = utility_report(solve(problem))
@@ -305,7 +304,7 @@ def _utility_table(results: dict) -> None:
 
 
 def _cmd_sweep(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
-    log, ingest, digest = _load_log(args.log, args, timing)
+    log, errors, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
     records = []
     worst_exit = EXIT_OK
@@ -341,7 +340,7 @@ def _cmd_sweep(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, in
         "aggregation": args.aggregation.value,
         "records": records,
         "log": _stats_payload(log),
-        "ingest": _ingest_payload(ingest),
+        "ingest": _ingest_payload(errors),
     }
     return {args.log: digest}, results, worst_exit
 

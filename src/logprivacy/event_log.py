@@ -27,9 +27,14 @@ from .errors import ConfigError, InputError
 Variant = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawEvent:
-    """One event as read from an input file, before grouping into traces."""
+    """One event as read from an input file, before grouping into traces.
+
+    An ingest makes one of these per event, so it has slots and no instance
+    dict, and the ingest functions give every event of an activity (and, in
+    CSV, of a case) the same label string.
+    """
 
     case_id: str
     activity: str
@@ -257,6 +262,8 @@ def ingest_csv(
 
     events: list[RawEvent] = []
     errors: list[RowError] = []
+    # One string per distinct case id and activity label, shared by events.
+    names: dict[str, str] = {}
     for row_index, row in enumerate(reader):
         if not row:
             continue
@@ -277,12 +284,19 @@ def ingest_csv(
         except ValueError as exc:
             errors.append(RowError(row_index, f"unparsable timestamp {raw_time!r}: {exc}"))
             continue
-        events.append(RawEvent(case_id, activity, ts, row_index))
+        events.append(
+            RawEvent(names.setdefault(case_id, case_id), names.setdefault(activity, activity),
+                     ts, row_index)
+        )
     return IngestResult(events, errors)
 
 
-def _localname(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+class _LocalNames(dict):
+    """Element tag -> its local name without the namespace, computed once per tag."""
+
+    def __missing__(self, tag: str) -> str:
+        name = self[tag] = tag.rsplit("}", 1)[-1]
+        return name
 
 
 def ingest_xes(stream: BinaryIO) -> IngestResult:
@@ -296,17 +310,20 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
     events: list[RawEvent] = []
     errors: list[RowError] = []
     source_index = 0
+    local = _LocalNames()
+    # One string per distinct activity label, shared by its events.
+    labels: dict[str, str] = {}
 
     def flush_trace(trace_elem) -> None:
         nonlocal source_index
         case_id = ""
         for child in trace_elem:
-            if _localname(child.tag) == "string" and child.get("key") == "concept:name":
+            if local[child.tag] == "string" and child.get("key") == "concept:name":
                 case_id = (child.get("value") or "").strip()
                 break
         pending: list[tuple[int, str, str | None]] = []
         for child in trace_elem:
-            if _localname(child.tag) != "event":
+            if local[child.tag] != "event":
                 continue
             idx = source_index
             source_index += 1
@@ -314,7 +331,7 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
             raw_time: str | None = None
             for attr in child:
                 key = attr.get("key")
-                if key == "concept:name" and _localname(attr.tag) == "string":
+                if key == "concept:name" and local[attr.tag] == "string":
                     activity = (attr.get("value") or "").strip()
                 elif key == "time:timestamp":
                     raw_time = attr.get("value") or ""
@@ -335,12 +352,12 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
             except ValueError as exc:
                 errors.append(RowError(idx, f"unparsable time:timestamp {raw_time!r}: {exc}"))
                 continue
-            events.append(RawEvent(case_id, activity, ts, idx))
+            events.append(RawEvent(case_id, labels.setdefault(activity, activity), ts, idx))
 
     try:
         saw_log = False
         for _, elem in ET.iterparse(_maybe_gzip(stream), events=("end",)):
-            tag = _localname(elem.tag)
+            tag = local[elem.tag]
             if tag == "trace":
                 flush_trace(elem)
                 elem.clear()

@@ -127,13 +127,15 @@ def risk_profile(
     which folds each first activity's candidates into the cell's sums as
     it closes.  Cells whose enumeration hits the candidate cap are recorded
     in ``failures`` with the error text; the remaining cells are still
-    computed.  No types, no sizes, or a size that is not an integer >= 1
-    raise ``ValueError`` before any pass.
+    computed.  No types, a type that is not a :class:`BkType`, no sizes, or
+    a size that is not an integer >= 1 raise ``ValueError`` before any pass.
     """
     type_list = list(types)
     size_list = list(sizes)
     if not type_list:
         raise ValueError("at least one background-knowledge type is required")
+    if not all(isinstance(t, BkType) for t in type_list):
+        raise ValueError("background-knowledge types must be BkType members")
     if not size_list:
         raise ValueError("at least one background-knowledge size is required")
     if not all(isinstance(s, numbers.Integral) for s in size_list):

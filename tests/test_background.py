@@ -447,6 +447,18 @@ class TestMultiSize:
         with pytest.raises(ValueError, match="cap must be >= 1"):
             enumerate_candidates(example1_log, BkType.SET, 2, cap=0)
 
+    def test_a_type_that_is_not_a_bk_type_is_refused(self):
+        # "seq" was once enumerated as a set: 1 candidate here, not the 3
+        # sequences ab, ba and aa.
+        log = EventLog.from_counts({("a", "b", "a"): 2, ("b", "a"): 1})
+        assert enumerate_candidates(log, BkType.SEQUENCE, 2).candidate_count == 3
+        for bk_type in ("seq", "set", None, 2):
+            for sizes in (2, [2]):
+                with pytest.raises(ValueError, match="type"):
+                    enumerate_candidates(log, bk_type, sizes)
+            with pytest.raises(ValueError, match="type"):
+                enumerate_candidates(log, bk_type, [1, 2], fold=list)
+
     def test_fold_gets_the_parts_an_index_splits_into(self, monkeypatch):
         # ``fold`` gets each first activity's candidates as one part, and an
         # index keeps the same parts.

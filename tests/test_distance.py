@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logprivacy import distance, distance_matrix, levenshtein, normalized_distance
-from oracles import table_distance_matrix
+from oracles import random_log, table_distance_matrix
 
 # Variants encoded over the Example 3 alphabet a..e -> 0..4.
 ABCD = (0, 1, 2, 3)
@@ -168,6 +168,22 @@ class TestKernelAgainstTableOracle:
     def test_transpose_swaps_rows_and_columns(self):
         rows, cols = _boundary_traces(7, 3)
         assert np.array_equal(distance_matrix(cols, rows), distance_matrix(rows, cols).T)
+
+    def test_either_side_may_hold_the_longer_traces(self):
+        # The matrix is computed with the side whose longest trace is
+        # shorter as rows, and transposed back when that is the columns.
+        rng = random.Random(23)
+        long = random_log(rng, max_variants=10, max_alphabet=6, min_len=65, max_len=200)
+        short = random_log(rng, max_variants=10, max_alphabet=6, max_len=40)
+        longest = max(map(len, long.variants))
+        assert 128 < longest and min(map(len, long.variants)) > 64
+        for rows, cols in ((long.variants, short.variants), (long.variants, long.variants[:-1]),
+                           (short.variants, long.variants[1:])):
+            got = distance_matrix(rows, cols)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, distance_matrix(cols, rows).T)
+        got = distance_matrix(long.variants[:3], short.variants)
+        assert np.array_equal(got, table_distance_matrix(long.variants[:3], short.variants))
 
     def test_one_pair_per_slab(self, monkeypatch):
         # Mixed lengths put columns of one to four words in separate groups

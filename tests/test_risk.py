@@ -158,6 +158,21 @@ class TestRiskProfile:
         profile = risk_profile(example1_log, [BkType.SET], [np.int64(2)])
         assert set(profile.scores) == {(BkType.SET, 2)}
 
+    def test_types_that_are_not_bk_types_rejected_before_any_pass(self, monkeypatch):
+        # ["seq"] was once scored as sets under the key ("seq", 2).
+        log = EventLog.from_counts({("a", "b", "a"): 2, ("b", "a"): 1})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("risk_profile ran a pass")
+
+        with monkeypatch.context() as m:
+            m.setattr(logprivacy.risk, "enumerate_candidates", refuse)
+            for types in (["seq"], [BkType.SET, "seq"], [BkType.SEQUENCE, None]):
+                with pytest.raises(ValueError, match="type"):
+                    risk_profile(log, types, [2])
+        scores = risk_profile(log, [BkType.SEQUENCE], [2]).scores
+        assert scores[(BkType.SEQUENCE, 2)].n_candidates == 3
+
     def test_grid_order_follows_the_sizes_as_given(self):
         # Size 3: four sequences, no set.  Size 1: two of each.
         log = EventLog.from_counts({("a", "b", "a", "b"): 2, ("b", "a"): 1})
