@@ -58,17 +58,18 @@ short of the largest bins its rows, which the pass builds anyway.  A dense
 largest level builds no leaf row: each chunk of rows one level short is
 turned straight into its leaves' bins, since a leaf's cell in the chunk's
 table block is ``row << bits | activity``, so its bin is that cell plus an
-offset of its row.  A variant that occurs once adds exactly 1 to a
-cardinality and 0 to an entropy sum, so the rows of such variants are split
-off and tallied by an unweighted ``np.bincount``; only repeated variants'
-rows are weighted.  The held bins are summed whenever they fill the span, and
-the non-empty bins are the candidates in canonical order.  Wider alphabets,
-larger sizes and multi-word keys hold their rows as keys, the largest level
-like any other, and sort them with the keys so far once they outnumber both
-those keys and ``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen
-per size, so one pass may use both.  A size whose candidates exceed the cap
-stops its own reduction, and what its consumer got so far is dropped; the
-others finish.
+offset of its row.  Each chunk's leaves are added into their bins with
+``np.add.at`` as soon as they are built, so no leaf is held and no step
+costs O(span).  A variant that occurs once adds exactly 1 to a cardinality
+and 0 to an entropy sum, so the rows of such variants are split off and
+add 1 to their cardinality bins alone; only repeated variants' rows are
+weighted.  When a first activity closes, the non-empty bins are its
+candidates in canonical order.  Wider alphabets, larger sizes and
+multi-word keys hold their rows as keys, the largest level like any other,
+and sort them with the keys so far once they outnumber both those keys and
+``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen per size, so one
+pass may use both.  A size whose candidates exceed the cap stops its own
+reduction, and what its consumer got so far is dropped; the others finish.
 
 Each first activity's candidates of a size become one part as the first
 activity closes, and the part goes at once to the size's consumer.  The
@@ -108,9 +109,10 @@ DEFAULT_CANDIDATE_CAP = 50_000_000
 _FRONTIER_CAP = 1 << 16
 
 # The most keys a size's candidates under one first activity may span and
-# still be reduced into dense bins: two float64 arrays of this length, 16 MB.
-# It does not follow ``_FRONTIER_CAP``, so the dense-or-sorted choice of each
-# alphabet and size stays put when the step size changes.
+# still be reduced into dense bins: two float64 arrays of this length, 16 MB,
+# which are all a dense size holds, since leaves are added into them as they
+# are built.  It does not follow ``_FRONTIER_CAP``, so the dense-or-sorted
+# choice of each alphabet and size stays put when the step size changes.
 _DENSE_SPAN = 1 << 20
 
 
@@ -324,13 +326,13 @@ def _group(keys: np.ndarray, cards: np.ndarray, ents: np.ndarray):
 class _Reduction:
     """The candidates of one requested size, reduced while the pass runs.
 
-    Leaves that reach ``size`` are held until they reach a limit, then folded
-    into ``acc``: dense bins over a first activity's key span, or that first
-    activity's sorted (keys, cardinalities, entropy sums).  Each first
-    activity's candidates become one part, handed to ``consumer`` as the
-    first activity closes.  Past ``cap`` distinct candidates the reduction
-    stops, drops its consumer, and ``error`` holds the
-    :class:`CandidateLimitError`.
+    Dense leaves are added into ``acc``, two bin arrays over a first
+    activity's key span, as they arrive.  Sorted leaves are held until they
+    reach a limit, then grouped with ``acc``, that first activity's sorted
+    (keys, cardinalities, entropy sums).  Each first activity's candidates
+    become one part, handed to ``consumer`` as the first activity closes.
+    Past ``cap`` distinct candidates the reduction stops, drops its
+    consumer, and ``error`` holds the :class:`CandidateLimitError`.
     """
 
     def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights, consumer):
@@ -345,31 +347,35 @@ class _Reduction:
         # The dense bins serve the whole pass; each first activity clears
         # those it filled.
         self.acc = [np.zeros(self.span), np.zeros(self.span)] if self.dense else None
-        self.leaves, self.ones, self.held, self.opened = [], [], 0, False
+        self.leaves, self.held, self.opened = [], 0, False
         self.consumer, self.found, self.error = consumer, 0, None
 
     def hold(self, keys: np.ndarray, pos: np.ndarray, ones=None) -> None:
-        """Hold leaves as keys and the table position each was reached at.
+        """Take leaves as keys and the table position each was reached at.
 
-        Dense leaves hold only their bin for a key, and ``ones`` the bins of
-        count-1 variants' leaves, which add 1 to a cardinality and 0 to an
-        entropy sum.  The held leaves are reduced once they reach the span
-        for dense bins, so a first activity costs O(rows + span), else the
-        keys so far, at least ``_FRONTIER_CAP``, so each row is grouped
-        O(log n) times.
+        Dense leaves come as their bins for keys, and ``ones`` as the bins
+        of count-1 variants' leaves, which add 1 to a cardinality and 0 to
+        an entropy sum; each is added into its bins at once, so a first
+        activity costs O(rows) until it closes.  Sorted leaves are held
+        until they reach the keys so far, at least ``_FRONTIER_CAP``, so
+        each row is grouped O(log n) times.
         """
         self.opened = True
+        if self.dense:
+            for b, x in zip(self.acc, self.weights):
+                np.add.at(b, keys, np.take(x, pos))
+            if ones is not None:
+                # A float 1: an int is cast per element, which made this call
+                # 40 times slower on numpy 2.4.
+                np.add.at(self.acc[0], ones, 1.0)
+            return
         self.leaves.append((keys, pos))
         self.held += len(pos)
-        if ones is not None:
-            self.ones.append(ones)
-            self.held += len(ones)
-        limit = self.span if self.dense else max(_FRONTIER_CAP, len(self.acc[1]) if self.acc else 0)
-        if self.held >= limit:
+        if self.held >= max(_FRONTIER_CAP, len(self.acc[1]) if self.acc else 0):
             self.reduce()
 
     def hold_rows(self, keys: np.ndarray, pos: np.ndarray, unit: np.ndarray) -> None:
-        """Hold frontier rows that end at this size; dense ones split by ``unit`` counts."""
+        """Take frontier rows that end at this size; dense ones split by ``unit`` counts."""
         if not self.dense:
             return self.hold(keys[:, : self.n_words], pos)
         one = np.take(unit, pos)
@@ -377,19 +383,11 @@ class _Reduction:
         self.hold(bins[~one], pos[~one], bins[one])
 
     def reduce(self) -> None:
-        """Fold the held leaves into ``acc``."""
+        """Group the held leaves with ``acc``."""
         keys = np.concatenate([k for k, _ in self.leaves])
         pos = np.concatenate([p for _, p in self.leaves])
         self.leaves, self.held = [], 0
-        counts, clog = self.weights
-        if self.dense:
-            self.acc[0] += np.bincount(np.concatenate(self.ones), minlength=self.span)
-            self.ones = []
-            if len(pos):
-                for b, x in zip(self.acc, (counts, clog)):
-                    b += np.bincount(keys, weights=np.take(x, pos), minlength=self.span)
-            return
-        rows = (keys, np.take(counts, pos), np.take(clog, pos))
+        rows = (keys, *(np.take(x, pos) for x in self.weights))
         if self.acc is not None:
             rows = [np.concatenate(pair) for pair in zip(self.acc, rows)]
         self.acc = _group(*rows)
@@ -398,7 +396,7 @@ class _Reduction:
     def check(self, count: int) -> None:
         if count > self.cap:
             self.error = CandidateLimitError(self.bk_type, self.size, count=count, cap=self.cap)
-            self.acc, self.leaves, self.ones, self.consumer = None, [], [], None
+            self.acc, self.leaves, self.consumer = None, [], None
 
     def close(self, a: int) -> None:
         """End first activity ``a``: its candidates, if any, go to the consumer as one part."""
@@ -446,9 +444,10 @@ def enumerate_candidates(
     key, one row of a (rows, words) int64 array.  Each requested level is
     reduced from its rows as they are built.  When the first activity's
     keys span at most ``_DENSE_SPAN`` values of one key word, a size's rows
-    are summed into dense bins, with count-1 variants tallied apart from
-    repeated ones, and the largest size's rows are never built: each chunk
-    one level short of it is turned straight into its leaves' bin indices.
+    are added into dense bins as they are built, with count-1 variants
+    tallied apart from repeated ones, and the largest size's rows are never
+    built: each chunk one level short of it is turned straight into its
+    leaves' bin indices.
     Otherwise a size's rows are sorted a buffer at a time.  Dense bins or
     sorting is chosen for each size from the alphabet's width and the size
     alone, so one pass may use both.
@@ -546,7 +545,7 @@ def enumerate_candidates(
         return flat + off[parent], parent
 
     def reach(level: int, pos: np.ndarray, keys: np.ndarray) -> None:
-        """Hold rows that end at a requested size, and stack those that grow on."""
+        """Reduce rows that end at a requested size, and stack those that grow on."""
         nonlocal live, room
         if level in live:
             live[level].hold_rows(keys, pos, unit)
@@ -576,7 +575,7 @@ def enumerate_candidates(
         stack = []
         reach(1, first + 1, keys)
         # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  Rows that reach a requested size are held as they
+        # is expanded.  Rows that reach a requested size are reduced as they
         # are built, except at a dense largest size: a chunk one level short
         # of it is turned straight into its leaves' bins.  A size that
         # exceeds the cap drops out of the plan, and the rows that only led

@@ -16,9 +16,12 @@ equal word count against a run of rows, each step feeding one event of every
 row to the whole slab as numpy array operations.  Rows are taken longest
 first, so the pairs whose row has ended form the tail of the slab and sit out
 the remaining steps; each row's distance is read at its own last event.  A
-slab takes one step per event of its longest row, so the side whose longest
-trace is shorter is made the rows, and the matrix is transposed back when
-that side was given as the columns.
+slab takes one step per event of its longest row, and a step costs one pass
+per column word, so both orientations' word steps are counted from the
+trace lengths, the side that takes fewer is made the rows, and the matrix is
+transposed back when that side was given as the columns.  The longest trace
+alone does not decide it: rows of up to 52 events against a column of 66
+take two words per step, the other way round one.
 ``_SLAB_WORDS`` bounds each of the slab's eleven work buffers and a chunk's
 match table, so they stay under 200 KB however many traces there are (one
 column's table alone can exceed it on alphabets of over 2048 symbols); only
@@ -185,6 +188,34 @@ def _slab_distances(table: np.ndarray, col_lens: np.ndarray, syms: np.ndarray,
     return score
 
 
+def _chunks(n_words: int, n_cols: int, n_syms: int):
+    """Cut a group of ``n_cols`` columns of ``n_words`` words into chunks.
+
+    Yields (start, stop, rows per slab) for each chunk, sized so that a
+    chunk's match table and each of a slab's work buffers hold at most
+    ``_SLAB_WORDS`` words.
+    """
+    chunk_cols = max(1, _SLAB_WORDS // (n_words * n_syms))
+    for c0 in range(0, n_cols, chunk_cols):
+        c1 = min(c0 + chunk_cols, n_cols)
+        yield c0, c1, max(1, _SLAB_WORDS // (n_words * (c1 - c0)))
+
+
+def _word_steps(row_lens: np.ndarray, col_lens: np.ndarray, n_syms: int) -> int:
+    """Word steps the recurrence takes with these rows and columns.
+
+    Each slab takes one step per event of its longest row and column word.
+    """
+    # A list sort: the first np.sort in a process maps about 0.4 MB more.
+    longest_first = sorted(row_lens.tolist(), reverse=True)
+    steps = 0
+    for n_words, n_cols in enumerate(np.bincount((col_lens + 63) // 64).tolist()):
+        if n_cols:
+            for _, _, slab_rows in _chunks(n_words, n_cols, n_syms):
+                steps += n_words * sum(longest_first[::slab_rows])
+    return steps
+
+
 def distance_matrix(
     rows: Sequence[Sequence[Hashable]], cols: Sequence[Sequence[Hashable]]
 ) -> np.ndarray:
@@ -200,16 +231,17 @@ def distance_matrix(
     out = np.zeros((len(rows), len(cols)), dtype=np.float64)
     if not rows or not cols:
         return out
-    if max(map(len, rows)) > max(map(len, cols)):
-        # The recurrence steps once per event of a slab's longest row, so the
-        # side whose longest trace is shorter makes the rows.
-        return np.ascontiguousarray(distance_matrix(cols, rows).T)
 
     row_lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     col_lens = np.fromiter(map(len, cols), dtype=np.int64, count=len(cols))
-    n_row_events = int(row_lens.sum())
     alphabet = {s: i for i, s in enumerate(set(chain.from_iterable(chain(rows, cols))))}
     n_syms = len(alphabet)
+    view = out
+    if _word_steps(col_lens, row_lens, n_syms) < _word_steps(row_lens, col_lens, n_syms):
+        # The given columns make the cheaper rows: the transpose is computed,
+        # written through a transposed view of the C-ordered result.
+        rows, cols, row_lens, col_lens, view = cols, rows, col_lens, row_lens, out.T
+    n_row_events = int(row_lens.sum())
     dense = np.fromiter(map(alphabet.__getitem__, chain.from_iterable(chain(rows, cols))),
                         dtype=np.intp, count=n_row_events + int(col_lens.sum()))
     row_syms, col_syms = dense[:n_row_events], dense[n_row_events:]
@@ -221,15 +253,13 @@ def distance_matrix(
     col_words = (col_lens + 63) // 64
     for n_words in sorted(set(col_words.tolist())):
         group = np.flatnonzero(col_words == n_words)
-        chunk_cols = max(1, _SLAB_WORDS // (n_words * n_syms))
-        for c0 in range(0, len(group), chunk_cols):
-            chunk = group[c0:c0 + chunk_cols]
+        for c0, c1, slab_rows in _chunks(n_words, len(group), n_syms):
+            chunk = group[c0:c1]
             table = _match_table(col_syms, col_starts[chunk], col_lens[chunk], n_words, n_syms)
-            slab_rows = max(1, _SLAB_WORDS // (n_words * len(chunk)))
             for r0 in range(0, len(rows), slab_rows):
                 slab = row_order[r0:r0 + slab_rows]
                 dist = _slab_distances(table, col_lens[chunk], row_syms,
                                        row_starts[slab], row_lens[slab].tolist())
                 denom = np.maximum(row_lens[slab][:, None], col_lens[chunk][None, :])
-                out[np.ix_(slab, chunk)] = dist / denom.astype(np.float64)
+                view[np.ix_(slab, chunk)] = dist / denom.astype(np.float64)
     return out

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,16 +22,17 @@ from logprivacy import (
     project,
 )
 from logprivacy import background as bg
-from oracles import itertools_candidate_index, naive_candidate_index, random_log
+from oracles import itertools_candidate_index, markov_log_pair, naive_candidate_index, random_log
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
 
-# The last level is reduced once its held leaves reach a limit: summed into
-# dense key bins when a first activity's keys span at most ``_DENSE_SPAN``
-# values, and sorted otherwise.  The oracle tests run as shipped (dense on
-# these small alphabets), with every cell sorted, with spans of at most 64
-# keys that chunks of a few rows flush many times while larger spans sort,
-# and with every cell sorted from a buffer that flushes every few rows.
+# A size is reduced in dense key bins when a first activity's keys span at
+# most ``_DENSE_SPAN`` values, each chunk's leaves added into them as they
+# are built, and otherwise by sorting held leaves once they reach a limit.
+# The oracle tests run as shipped (dense on these small alphabets), with
+# every cell sorted, with spans of at most 64 keys that chunks of a few rows
+# add into many times while larger spans sort, and with every cell sorted
+# from a buffer that flushes every few rows.
 REDUCTIONS = (
     {},
     {"_DENSE_SPAN": 0},
@@ -346,6 +348,22 @@ class TestUnitCounts:
                     for elements, ent in zip(sorted(oracle), index.entropy_sums()):
                         if set(oracle[elements].values()) == {1}:
                             assert ent == 0.0
+
+
+def test_a_dense_pass_holds_no_leaves():
+    # 16 activities take 4 key bits, so size 6 spans 2**20 dense bins per
+    # first activity: 16 MB for the two bin arrays.  Leaves go into them as
+    # each chunk is built; a pass that held them until they filled the span
+    # peaked at 32 MB.
+    log = markov_log_pair(1, 400)[0]
+    assert len(log.labels) == 16
+    tracemalloc.start()
+    try:
+        enumerate_candidates(log, BkType.MULTISET, [6], fold=lambda: lambda *part: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def assert_same_index(got, expected) -> None:

@@ -170,8 +170,8 @@ class TestKernelAgainstTableOracle:
         assert np.array_equal(distance_matrix(cols, rows), distance_matrix(rows, cols).T)
 
     def test_either_side_may_hold_the_longer_traces(self):
-        # The matrix is computed with the side whose longest trace is
-        # shorter as rows, and transposed back when that is the columns.
+        # The matrix is computed with the side that takes fewer word steps
+        # as rows, and transposed back when that is the columns.
         rng = random.Random(23)
         long = random_log(rng, max_variants=10, max_alphabet=6, min_len=65, max_len=200)
         short = random_log(rng, max_variants=10, max_alphabet=6, max_len=40)
@@ -184,6 +184,24 @@ class TestKernelAgainstTableOracle:
             assert np.array_equal(got, distance_matrix(cols, rows).T)
         got = distance_matrix(long.variants[:3], short.variants)
         assert np.array_equal(got, table_distance_matrix(long.variants[:3], short.variants))
+
+    def test_a_longer_column_that_needs_a_second_word_makes_the_rows(self):
+        # Rows of at most 52 events against columns of at most 66, as in the
+        # 70-trace benchmark pair.  The given rows hold the shorter longest
+        # trace, but against them the 66-event column takes two words per
+        # step; the columns as rows take 66 one-word steps, so they are the
+        # rows and the matrix is transposed back.
+        rng = random.Random(70)
+        rows = [tuple(rng.randrange(16) for _ in range(n)) for n in (52, 47, 40, 33, 28, 12)]
+        cols = [tuple(rng.randrange(16) for _ in range(n)) for n in (66, 60, 51, 38, 20)]
+        row_lens, col_lens = np.array([len(r) for r in rows]), np.array([len(c) for c in cols])
+        n_syms = len(set().union(*rows, *cols))
+        assert max(row_lens) < max(col_lens)
+        assert distance._word_steps(col_lens, row_lens, n_syms) < distance._word_steps(row_lens, col_lens, n_syms)
+        got = distance_matrix(rows, cols)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, table_distance_matrix(rows, cols))
+        assert np.array_equal(distance_matrix(cols, rows), got.T)
 
     def test_one_pair_per_slab(self, monkeypatch):
         # Mixed lengths put columns of one to four words in separate groups
