@@ -22,9 +22,9 @@ is reached from it along exactly one path: the position indexes a per-call
 next-occurrence table, and the successor for activity a is the first
 occurrence of a after it.  The position also names the row's view: arrays
 built beside the table give each table row its view's end row, its trace
-count, count * log2 count and whether the count is 1, 21 bytes per table row
-(the end in the table's int32 dtype, two float64 and a bool).  Variants
-whose views are equal stay separate rows, each adding its own trace count.
+count and count * log2 count, 20 bytes per table row (the end in the
+table's int32 dtype and two float64).  Variants whose views are equal stay
+separate rows, each adding its own trace count.
 
 A level is one vectorized step over the frontier for all activities at once.
 One pass serves every requested size of a type: the frontier grows up to the
@@ -39,8 +39,8 @@ chunked: it holds one int32 for every event and every end of the views and
 every activity code, the alphabet rounded up to a power of two, so it grows
 with view events x alphabet.  On the benchmark's
 Sepsis-shaped log (16 activities) it takes 0.94 MB for subsequences and
-multisets and 0.55 MB for sets, and the arrays beside it 0.31 MB and
-0.18 MB; 100k variants of 50 events over 200 activities (256 codes) would
+multisets and 0.55 MB for sets, and the arrays beside it 0.29 MB and
+0.17 MB; 100k variants of 50 events over 200 activities (256 codes) would
 need about 5.2 GB.  The table is a function of the views alone, so building
 it per block of views is one call on a slice of them.  Keys are fixed-width
 packed integers, split over several 63-bit words when the alphabet and size
@@ -61,13 +61,15 @@ table block is ``row << bits | activity``, so its bin is that cell plus an
 offset of its row.  Each chunk's leaves are added into their bins with
 ``np.add.at`` as soon as they are built, so no leaf is held and no step
 costs O(span).  A variant that occurs once adds exactly 1 to a cardinality
-and 0 to an entropy sum, so the rows of such variants are split off and
-add 1 to their cardinality bins alone; only repeated variants' rows are
-weighted.  When a first activity closes, the non-empty bins are its
-candidates in canonical order.  Wider alphabets, larger sizes and
-multi-word keys hold their rows as keys, the largest level like any other,
-and sort them with the keys so far once they outnumber both those keys and
-``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen per size, so one
+and 0 to an entropy sum, and a row never leaves its variant's view.  So
+each first activity is grown twice, from the views of variants that occur
+once and then from the others', and every chunk holds one kind of row: a
+count-1 chunk adds 1 to its cardinality bins alone, and only repeated
+variants' chunks read their weights.  When a first activity closes, the
+non-empty bins are its candidates in canonical order.  Wider alphabets,
+larger sizes and multi-word keys hold their rows as keys, the largest level
+like any other, and sort them with the keys so far once they outnumber both
+those keys and ``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen per size, so one
 pass may use both.  A size whose candidates exceed the cap stops its own
 reduction, and what its consumer got so far is dropped; the others finish.
 
@@ -327,9 +329,10 @@ class _Reduction:
     """The candidates of one requested size, reduced while the pass runs.
 
     Dense leaves are added into ``acc``, two bin arrays over a first
-    activity's key span, as they arrive.  Sorted leaves are held until they
-    reach a limit, then grouped with ``acc``, that first activity's sorted
-    (keys, cardinalities, entropy sums).  Each first activity's candidates
+    activity's key span, as they arrive, those of count-1 variants into the
+    cardinality bins alone.  Sorted leaves are held until they reach a
+    limit, then grouped with ``acc``, that first activity's sorted (keys,
+    cardinalities, entropy sums).  Each first activity's candidates
     become one part, handed to ``consumer`` as the first activity closes.
     Past ``cap`` distinct candidates the reduction stops, drops its
     consumer, and ``error`` holds the :class:`CandidateLimitError`.
@@ -350,37 +353,30 @@ class _Reduction:
         self.leaves, self.held, self.opened = [], 0, False
         self.consumer, self.found, self.error = consumer, 0, None
 
-    def hold(self, keys: np.ndarray, pos: np.ndarray, ones=None) -> None:
+    def hold(self, keys: np.ndarray, pos: np.ndarray | None, ones: bool) -> None:
         """Take leaves as keys and the table position each was reached at.
 
-        Dense leaves come as their bins for keys, and ``ones`` as the bins
-        of count-1 variants' leaves, which add 1 to a cardinality and 0 to
-        an entropy sum; each is added into its bins at once, so a first
-        activity costs O(rows) until it closes.  Sorted leaves are held
-        until they reach the keys so far, at least ``_FRONTIER_CAP``, so
-        each row is grouped O(log n) times.
+        Dense leaves come as their bins for keys, and are added into them
+        at once, so a first activity costs O(rows) until it closes.  When
+        ``ones`` is set they are all count-1 variants' leaves, each adding
+        1 to a cardinality and 0 to an entropy sum, so no position is read.
+        Sorted leaves are held until they reach the keys so far, at least
+        ``_FRONTIER_CAP``, so each row is grouped O(log n) times.
         """
         self.opened = True
         if self.dense:
-            for b, x in zip(self.acc, self.weights):
-                np.add.at(b, keys, np.take(x, pos))
-            if ones is not None:
+            if ones:
                 # A float 1: an int is cast per element, which made this call
                 # 40 times slower on numpy 2.4.
-                np.add.at(self.acc[0], ones, 1.0)
+                np.add.at(self.acc[0], keys, 1.0)
+            else:
+                for b, x in zip(self.acc, self.weights):
+                    np.add.at(b, keys, np.take(x, pos))
             return
         self.leaves.append((keys, pos))
         self.held += len(pos)
         if self.held >= max(_FRONTIER_CAP, len(self.acc[1]) if self.acc else 0):
             self.reduce()
-
-    def hold_rows(self, keys: np.ndarray, pos: np.ndarray, unit: np.ndarray) -> None:
-        """Take frontier rows that end at this size; dense ones split by ``unit`` counts."""
-        if not self.dense:
-            return self.hold(keys[:, : self.n_words], pos)
-        one = np.take(unit, pos)
-        bins = keys[:, 0] & (self.span - 1)
-        self.hold(bins[~one], pos[~one], bins[one])
 
     def reduce(self) -> None:
         """Group the held leaves with ``acc``."""
@@ -420,6 +416,19 @@ class _Reduction:
             self.consumer(part[0], part[1].astype(np.int64), part[2])
 
 
+def _wanted_sizes(sizes: Iterable) -> list[int]:
+    """The distinct requested sizes, ascending; ``ValueError`` unless each is an integer >= 1."""
+    given = tuple(sizes)
+    if not all(isinstance(s, numbers.Integral) for s in given):
+        raise ValueError("candidate sizes must be integers")
+    wanted = sorted({int(s) for s in given})
+    if not wanted:
+        raise ValueError("at least one candidate size is required")
+    if wanted[0] < 1:
+        raise ValueError("candidate size must be >= 1")
+    return wanted
+
+
 def enumerate_candidates(
     log: EventLog,
     bk_type: BkType,
@@ -444,10 +453,12 @@ def enumerate_candidates(
     key, one row of a (rows, words) int64 array.  Each requested level is
     reduced from its rows as they are built.  When the first activity's
     keys span at most ``_DENSE_SPAN`` values of one key word, a size's rows
-    are added into dense bins as they are built, with count-1 variants
-    tallied apart from repeated ones, and the largest size's rows are never
-    built: each chunk one level short of it is turned straight into its
-    leaves' bin indices.
+    are added into dense bins as they are built, and the largest size's
+    rows are never built: each chunk one level short of it is turned
+    straight into its leaves' bin indices.  Each first activity grows the
+    rows of count-1 variants first and those of repeated variants after, so
+    every chunk holds one kind, and a count-1 chunk adds only to its
+    cardinality bins.
     Otherwise a size's rows are sorted a buffer at a time.  Dense bins or
     sorting is chosen for each size from the alphabet's width and the size
     alone, so one pass may use both.
@@ -473,14 +484,7 @@ def enumerate_candidates(
     if not isinstance(bk_type, BkType):
         raise ValueError(f"unknown background-knowledge type {bk_type!r}")
     single = not isinstance(sizes, Iterable)
-    given = (sizes,) if single else tuple(sizes)
-    if not all(isinstance(s, numbers.Integral) for s in given):
-        raise ValueError("candidate sizes must be integers")
-    wanted = sorted({int(s) for s in given})
-    if not wanted:
-        raise ValueError("at least one candidate size is required")
-    if wanted[0] < 1:
-        raise ValueError("candidate size must be >= 1")
+    wanted = _wanted_sizes((sizes,) if single else sizes)
     if cap < 1:
         raise ValueError("candidate cap must be >= 1")
 
@@ -493,8 +497,10 @@ def enumerate_candidates(
     )
     # Each table row's trace count: that of the variant whose view holds it.
     counts = np.repeat(np.asarray(log.counts, dtype=np.float64), np.diff(starts, append=len(end)))
-    unit = counts == 1
     weights = (counts, counts * np.log2(counts))
+    # The views' starts, split by whether their variant occurs once.
+    unit = np.asarray(log.counts) == 1
+    groups = ((True, starts[unit]), (False, starts[~unit]))
     reductions = [_Reduction(bk_type, size, bits, cap, weights,
                              fold() if fold else CandidateIndex(log.labels, bk_type, size, bits))
                   for size in wanted]
@@ -531,8 +537,8 @@ def enumerate_candidates(
         keys[:, w] |= flat & ((1 << bits) - 1)
         return succ.ravel()[flat] + 1, keys
 
-    def bin_leaves(level: int, pos: np.ndarray, key: np.ndarray, span: int):
-        """The dense bin of each leaf below the given rows, and the row it grows from.
+    def bin_leaves(level: int, pos: np.ndarray, key: np.ndarray, span: int, ones: bool):
+        """The dense bin of each leaf below the given rows, and its row's position unless ``ones``.
 
         A bin is a leaf key's low bits below its first activity: its row's
         key shifted up by ``bits``, or'ed with its activity.  The leaf's cell
@@ -542,14 +548,15 @@ def enumerate_candidates(
         flat = children(level, pos)[1]
         parent = flat >> bits
         off = ((key << bits) & (span - 1)) - (np.arange(len(key)) << bits)
-        return flat + off[parent], parent
+        return flat + off[parent], None if ones else np.take(pos, parent)
 
-    def reach(level: int, pos: np.ndarray, keys: np.ndarray) -> None:
+    def reach(level: int, pos: np.ndarray, keys: np.ndarray, ones: bool) -> None:
         """Reduce rows that end at a requested size, and stack those that grow on."""
         nonlocal live, room
         if level in live:
-            live[level].hold_rows(keys, pos, unit)
-            if live[level].error is not None:
+            r = live[level]
+            r.hold(keys[:, 0] & (r.span - 1) if r.dense else keys[:, : r.n_words], pos, ones)
+            if r.error is not None:
                 live, room = plan()
             if level < len(room):
                 # Their own level asked no room of them; the next size does.
@@ -561,41 +568,39 @@ def enumerate_candidates(
     # Candidates with different first activities have disjoint key ranges,
     # so each first activity is grown and reduced on its own, in ascending
     # order.  Its rows are the views whose first occurrence of it leaves
-    # room for the rest of the smallest requested candidate.
+    # room for the rest of the smallest requested candidate: count-1
+    # variants' views first, then the others, so every chunk holds one kind
+    # of row.  A size that exceeds the cap drops out of the plan, and the
+    # rows that only led to it are skipped.
     for a in range(n_labels):
-        live, room = plan()
-        if not live:
-            break
-        first = nxt[starts, a]
-        first = first[first < end[starts] - room[0]]
-        if not len(first):
-            continue
-        keys = np.zeros((len(first), live[len(room)].n_words), dtype=np.int64)
-        keys[:, 0] = a
-        stack = []
-        reach(1, first + 1, keys)
-        # Depth first, chunk by chunk: a level is dropped once its last chunk
-        # is expanded.  Rows that reach a requested size are reduced as they
-        # are built, except at a dense largest size: a chunk one level short
-        # of it is turned straight into its leaves' bins.  A size that
-        # exceeds the cap drops out of the plan, and the rows that only led
-        # to it are skipped.
-        while stack:
-            level, pos, keys = stack.pop()
-            if level >= len(room):
+        for ones, seeds in groups:
+            live, room = plan()
+            if not live:
+                break
+            first = nxt[seeds, a]
+            first = first[first < end[seeds] - room[0]]
+            if not len(first):
                 continue
-            if len(pos) > chunk:
-                stack.append((level, pos[chunk:], keys[chunk:]))
-                pos, keys = pos[:chunk], keys[:chunk]
-            last = live[len(room)]
-            if level + 1 < len(room) or not last.dense:
-                reach(level + 1, *expand(level, pos, keys))
-                continue
-            one, key = np.take(unit, pos), keys[:, 0]
-            ones = bin_leaves(level, pos[one], key[one], last.span)[0]
-            many = ~one
-            bins, parent = bin_leaves(level, pos[many], key[many], last.span)
-            last.hold(bins, pos[many][parent], ones)
+            keys = np.zeros((len(first), live[len(room)].n_words), dtype=np.int64)
+            keys[:, 0] = a
+            stack = []
+            reach(1, first + 1, keys, ones)
+            # Depth first, chunk by chunk: a level is dropped once its last
+            # chunk is expanded.  Rows that reach a requested size are reduced
+            # as they are built, except at a dense largest size: a chunk one
+            # level short of it is turned straight into its leaves' bins.
+            while stack:
+                level, pos, keys = stack.pop()
+                if level >= len(room):
+                    continue
+                if len(pos) > chunk:
+                    stack.append((level, pos[chunk:], keys[chunk:]))
+                    pos, keys = pos[:chunk], keys[:chunk]
+                last = live[len(room)]
+                if level + 1 < len(room) or not last.dense:
+                    reach(level + 1, *expand(level, pos, keys), ones)
+                else:
+                    last.hold(*bin_leaves(level, pos, keys[:, 0], last.span, ones), ones)
         for r in live.values():
             r.close(a)
 

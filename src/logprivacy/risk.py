@@ -16,14 +16,13 @@ both give the same floats.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .background import BkType, CandidateIndex, DEFAULT_CANDIDATE_CAP, enumerate_candidates
+from .background import BkType, CandidateIndex, DEFAULT_CANDIDATE_CAP, _wanted_sizes, enumerate_candidates
 from .errors import CandidateLimitError
 from .event_log import EventLog
 
@@ -136,12 +135,7 @@ def risk_profile(
         raise ValueError("at least one background-knowledge type is required")
     if not all(isinstance(t, BkType) for t in type_list):
         raise ValueError("background-knowledge types must be BkType members")
-    if not size_list:
-        raise ValueError("at least one background-knowledge size is required")
-    if not all(isinstance(s, numbers.Integral) for s in size_list):
-        raise ValueError("background-knowledge sizes must be integers")
-    if any(s < 1 for s in size_list):
-        raise ValueError("background-knowledge sizes must be >= 1")
+    _wanted_sizes(size_list)
     scores: dict[tuple[BkType, int], RiskScore] = {}
     skipped: dict[tuple[BkType, int], str] = {}
     failures: dict[tuple[BkType, int], str] = {}
