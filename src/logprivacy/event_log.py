@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from numbers import Integral
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConfigError, InputError
 
@@ -31,9 +32,9 @@ Variant = tuple[int, ...]
 class RawEvent:
     """One event as read from an input file, before grouping into traces.
 
-    An ingest makes one of these per event, so it has slots and no instance
-    dict, and the ingest functions give every event of an activity (and, in
-    CSV, of a case) the same label string.
+    An ingest makes these only when its ``events`` are read, giving every
+    event of an activity one shared label string and every event of a case
+    one shared case id string.
     """
 
     case_id: str
@@ -50,11 +51,72 @@ class RowError:
     message: str
 
 
+# A usable event as an ingest keeps it, in its case's list: the event's
+# timestamp, source index and activity label.
+_Row = tuple[datetime, int, str]
+# Within a case, rows sort by time and then file position, never by label.
+_ROW_ORDER = itemgetter(0, 1)
+
+
+class _CaseEvents(Sequence[RawEvent]):
+    """The usable events of an ingest: a read-only sequence in file order.
+
+    The events are held as rows grouped by case, each case's rows in file
+    order, with the distinct activity labels of those rows: what
+    :func:`build_log` reads.  The :class:`RawEvent` objects are made once,
+    on first iteration or indexing; the length needs none.  The sequence
+    equals a list of the same events.
+    """
+
+    __slots__ = ("_cases", "_labels", "_len", "_events")
+
+    def __init__(self, cases: dict[str, list[_Row]], labels: Iterable[str]):
+        self._cases = cases
+        self._labels = labels
+        self._len = sum(map(len, cases.values()))
+        self._events: list[RawEvent] | None = None
+
+    def _made(self) -> list[RawEvent]:
+        if self._events is None:
+            events = [
+                RawEvent(case_id, activity, ts, idx)
+                for case_id, rows in self._cases.items()
+                for ts, idx, activity in rows
+            ]
+            events.sort(key=attrgetter("source_index"))
+            self._events = events
+        return self._events
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._made()[index]
+
+    def __iter__(self) -> Iterator[RawEvent]:
+        return iter(self._made())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _CaseEvents):
+            other = other._made()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._made() == other
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(self._made())
+
+
 @dataclass(frozen=True)
 class IngestResult:
-    """Events read from a stream plus the rows that could not be used."""
+    """Events read from a stream plus the rows that could not be used.
 
-    events: list[RawEvent]
+    ``events`` is a read-only sequence of the usable events in file order.
+    """
+
+    events: Sequence[RawEvent]
     errors: list[RowError]
 
 
@@ -218,7 +280,12 @@ def parse_timestamp(text: str, time_format: str | None = None) -> datetime:
     if time_format:
         ts = datetime.strptime(text.strip(), time_format)
     else:
-        ts = _parse_iso_timestamp(text)
+        # Python 3.11 reads most stamps as they are; the normalization is
+        # needed for the rest, and for nearly all on 3.10.
+        try:
+            ts = datetime.fromisoformat(text)
+        except ValueError:
+            ts = _parse_iso_timestamp(text)
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
@@ -244,7 +311,8 @@ def ingest_csv(
     A leading UTF-8 byte order mark, as spreadsheet exports write, is
     skipped.  Rows that cannot be used (blank case or activity, unparsable timestamp,
     missing cells) are reported as :class:`RowError` entries rather than
-    silently dropped; the remaining rows are returned in file order.
+    silently dropped; the remaining rows are returned in file order, each
+    with its row index as ``source_index``.
     """
     text = io.TextIOWrapper(_maybe_gzip(stream), encoding="utf-8-sig", newline="")
     reader = csv.reader(text)
@@ -260,10 +328,10 @@ def ingest_csv(
             raise ConfigError(f"CSV is missing the mapped {role} column {name!r}") from None
     needed = max(positions.values())
 
-    events: list[RawEvent] = []
+    cases: dict[str, list[_Row]] = {}
     errors: list[RowError] = []
-    # One string per distinct case id and activity label, shared by events.
-    names: dict[str, str] = {}
+    # One string per distinct activity label, shared by its events.
+    labels: dict[str, str] = {}
     for row_index, row in enumerate(reader):
         if not row:
             continue
@@ -284,11 +352,11 @@ def ingest_csv(
         except ValueError as exc:
             errors.append(RowError(row_index, f"unparsable timestamp {raw_time!r}: {exc}"))
             continue
-        events.append(
-            RawEvent(names.setdefault(case_id, case_id), names.setdefault(activity, activity),
-                     ts, row_index)
-        )
-    return IngestResult(events, errors)
+        rows = cases.get(case_id)
+        if rows is None:
+            rows = cases[case_id] = []
+        rows.append((ts, row_index, labels.setdefault(activity, activity)))
+    return IngestResult(_CaseEvents(cases, labels), errors)
 
 
 class _LocalNames(dict):
@@ -307,7 +375,7 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
     time:timestamp the ordering instant.  Events lacking any of these are
     reported and excluded; everything else in the file is ignored.
     """
-    events: list[RawEvent] = []
+    cases: dict[str, list[_Row]] = {}
     errors: list[RowError] = []
     source_index = 0
     local = _LocalNames()
@@ -340,6 +408,7 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
             for idx, _, _ in pending:
                 errors.append(RowError(idx, "event belongs to a trace without a concept:name"))
             return
+        rows: list[_Row] = []
         for idx, activity, raw_time in pending:
             if not activity:
                 errors.append(RowError(idx, "event is missing concept:name"))
@@ -352,7 +421,12 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
             except ValueError as exc:
                 errors.append(RowError(idx, f"unparsable time:timestamp {raw_time!r}: {exc}"))
                 continue
-            events.append(RawEvent(case_id, labels.setdefault(activity, activity), ts, idx))
+            rows.append((ts, idx, labels.setdefault(activity, activity)))
+        if rows:
+            # Traces that share a concept:name are one case.
+            case_rows = cases.setdefault(case_id, rows)
+            if case_rows is not rows:
+                case_rows.extend(rows)
 
     try:
         saw_log = False
@@ -368,25 +442,39 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
             raise InputError("XES input has no <log> root element")
     except ET.ParseError as exc:
         raise InputError(f"malformed XES/XML input: {exc}") from None
-    return IngestResult(events, errors)
+    return IngestResult(_CaseEvents(cases, labels), errors)
 
 
 def build_log(events: Sequence[RawEvent]) -> EventLog:
     """Group events by case, order them, and aggregate into a variant multiset.
 
-    Within a case, events are sorted by timestamp with the input position as
-    a stable tie-break, so equal instants keep their file order.
+    Within a case, events are sorted by timestamp and then source index, so
+    equal instants keep their file order; events equal in both keep their
+    input order.  The events of an ingest are read as the ingest grouped
+    them, and no :class:`RawEvent` is made for them.
     """
     if not events:
         raise InputError("cannot build an event log from zero events")
-    cases: dict[str, list[RawEvent]] = {}
-    for e in events:
-        cases.setdefault(e.case_id, []).append(e)
-    traces = []
-    for case_events in cases.values():
-        case_events.sort(key=lambda e: (e.timestamp, e.source_index))
-        traces.append(tuple(e.activity for e in case_events))
-    return EventLog.from_traces(traces)
+    if isinstance(events, _CaseEvents):
+        cases, labels = events._cases, events._labels
+    else:
+        cases, labels = {}, set()
+        for e in events:
+            rows = cases.get(e.case_id)
+            if rows is None:
+                rows = cases[e.case_id] = []
+            rows.append((e.timestamp, e.source_index, e.activity))
+            labels.add(e.activity)
+    # Traces are counted as id tuples, which the log keeps, not as label
+    # tuples freed after the count: CPython holds freed small tuples for
+    # reuse, and over repeated ingests these kept about 0.7 MB more resident.
+    names = sorted(labels)
+    ids = {label: i for i, label in enumerate(names)}
+    counts: dict[Variant, int] = {}
+    for rows in cases.values():
+        v = tuple([ids[r[2]] for r in sorted(rows, key=_ROW_ORDER)])
+        counts[v] = counts.get(v, 0) + 1
+    return EventLog(list(counts), list(counts.values()), names)
 
 
 # -- frequency, entropy, statistics ----------------------------------------

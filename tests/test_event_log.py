@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gzip
 import io
@@ -7,6 +8,7 @@ import math
 import random
 import tracemalloc
 from datetime import datetime, timezone
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 import pytest
@@ -27,7 +29,8 @@ from logprivacy import (
     stats,
     trace_frequency,
 )
-from logprivacy.event_log import parse_timestamp
+from logprivacy import event_log
+from logprivacy.event_log import _parse_iso_timestamp, parse_timestamp
 from oracles import random_log
 
 
@@ -147,6 +150,41 @@ class TestTimestampParsing:
         ts = parse_timestamp("2020-06-01 12:00:00")
         assert ts.tzinfo == timezone.utc
 
+    def test_raw_fromisoformat_agrees_with_the_normalization(self):
+        # parse_timestamp first tries datetime.fromisoformat on the text as
+        # it is.  Wherever that succeeds (more often on 3.11 than on 3.10),
+        # it must read the instant the normalizing parse reads; elsewhere
+        # the normalizing parse decides alone.
+        def utc(ts):
+            return ts.replace(tzinfo=timezone.utc) if ts.tzinfo is None else ts.astimezone(timezone.utc)
+
+        stamps = [
+            f"2020-06-01{sep}12:34:56{fraction}{zone}"
+            for sep in ("T", " ")
+            for fraction in ["", ",5", ",123456", ",1234567"] + [f".{'987654321'[:n]}" for n in range(1, 10)]
+            for zone in ("", "Z", "z", "+00:00", "+02:00", "-05:30")
+        ]
+        corpus = stamps + ["2020-06-01", "2020-06-01T12:34", "2020-06-01T12", "20200601T123456", "nope", ""]
+        corpus += [pad(text) for text in stamps[::7] + ["2020-06-01"]
+                   for pad in (lambda t: f" {t}", lambda t: f"{t} ", lambda t: f"\t{t}\n")]
+        accepted = 0
+        for text in corpus:
+            try:
+                normalized = utc(_parse_iso_timestamp(text))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    parse_timestamp(text)
+                continue
+            assert parse_timestamp(text) == normalized, text
+            assert parse_timestamp(text).tzinfo == timezone.utc
+            try:
+                raw = datetime.fromisoformat(text)
+            except ValueError:
+                continue
+            accepted += 1
+            assert utc(raw) == normalized, text
+        assert accepted >= 20  # offsets with 0, 3 or 6 digits parse raw on every version
+
 
 class TestIngestXes:
     def test_minimal_log(self):
@@ -205,6 +243,196 @@ class TestIngestXes:
         assert len(result.events) == 2
 
 
+MESSY_XES = """<?xml version="1.0" encoding="UTF-8"?>
+<log xmlns="http://www.xes-standard.org/">
+  <trace><string key="concept:name" value="c1"/>
+    <event><string key="concept:name" value="b"/><date key="time:timestamp" value="2020-01-01T10:00:00Z"/></event>
+    <event><string key="concept:name" value="a"/><date key="time:timestamp" value="2020-01-01T09:00:00.1234567+01:00"/></event>
+    <event><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+    <event><string key="concept:name" value="x"/><date key="time:timestamp" value="nope"/></event>
+    <event><string key="concept:name" value="y"/></event>
+  </trace>
+  <trace><event><string key="concept:name" value="q"/><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event></trace>
+  <trace><string key="concept:name" value="c2"/>
+    <event><string key="concept:name" value="a"/><date key="time:timestamp" value="2020-01-01T09:00:00z"/></event>
+    <event><string key="concept:name" value="c"/><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+  </trace>
+  <trace><string key="concept:name" value="c3"/><event><string key="concept:name" value="z"/></event></trace>
+  <trace><string key="concept:name" value="c1"/>
+    <event><string key="concept:name" value="d"/><date key="time:timestamp" value="2020-01-01T09:30:00Z"/></event>
+    <event><string key="concept:name" value="e"/><date key="time:timestamp" value=" 2020-01-01T10:00:00Z "/></event>
+  </trace>
+</log>
+"""
+
+
+def _at(hour, minute, microsecond=0):
+    return datetime(2020, 1, 1, hour, minute, 0, microsecond, tzinfo=timezone.utc)
+
+
+class TestIngestOrder:
+    """Traces that share a case id, interleaved CSV cases, and the events and
+    errors of a log with every kind of unusable event, pinned as read before
+    ingest kept its events grouped by case."""
+
+    def test_xes_traces_sharing_a_name_merge_into_one_case(self):
+        result = ingest_xes(io.BytesIO(MESSY_XES.encode()))
+        log = build_log(result.events)
+        # c1: a (08:00 UTC) from its first trace, d (09:30) from its second,
+        # then b and e at 10:00 in file order.
+        assert sorted(log.variant_labels(v) for v in log.variants) == [("a", "c"), ("a", "d", "b", "e")]
+        assert log.total_traces == 2
+
+    def test_xes_events_and_errors_in_file_order(self):
+        for data in (MESSY_XES.encode(), gzip.compress(MESSY_XES.encode())):
+            result = ingest_xes(io.BytesIO(data))
+            assert list(result.events) == [
+                RawEvent("c1", "b", _at(10, 0), 0),
+                RawEvent("c1", "a", _at(8, 0, 123456), 1),
+                RawEvent("c2", "a", _at(9, 0), 6),
+                RawEvent("c2", "c", _at(9, 0), 7),
+                RawEvent("c1", "d", _at(9, 30), 9),
+                RawEvent("c1", "e", _at(10, 0), 10),
+            ]
+            assert [(e.index, e.message) for e in result.errors] == [
+                (2, "event is missing concept:name"),
+                (3, "unparsable time:timestamp 'nope': Invalid isoformat string: 'nope'"),
+                (4, "event is missing time:timestamp"),
+                (5, "event belongs to a trace without a concept:name"),
+                (8, "event is missing time:timestamp"),
+            ]
+
+    def test_csv_interleaved_cases(self):
+        text = (
+            "case,activity,time\n"
+            "1,a,2020-01-01T03:00:00\n"
+            "2,x,2020-01-01T01:00:00\n"
+            "1,b,2020-01-01T01:00:00\n"
+            ",d,2020-01-01T01:00:00\n"
+            "2,y,2020-01-01T01:00:00Z\n"
+            "1,c,2020-01-01T02:00:00\n"
+            "3,f\n"
+            "2,e,bad\n"
+        )
+        result = ingest_csv(csv_stream(text))
+        assert [(e.case_id, e.activity, e.timestamp.hour, e.source_index) for e in result.events] == [
+            ("1", "a", 3, 0), ("2", "x", 1, 1), ("1", "b", 1, 2), ("2", "y", 1, 4), ("1", "c", 2, 5),
+        ]
+        assert [(e.index, e.message) for e in result.errors] == [
+            (3, "empty case identifier"),
+            (6, "row has fewer cells than the mapped columns"),
+            (7, "unparsable timestamp 'bad': Invalid isoformat string: 'bad'"),
+        ]
+        log = build_log(result.events)
+        assert sorted(log.variant_labels(v) for v in log.variants) == [("b", "c", "a"), ("x", "y")]
+
+    def test_events_are_a_read_only_sequence_equal_to_a_list(self):
+        result = ingest_xes(io.BytesIO(MESSY_XES.encode()))
+        events = list(result.events)
+        assert len(result.events) == 6 and result.events
+        assert result.events == events and events == result.events
+        assert result.events != events[:-1] and result.events != events[::-1]
+        assert result.events[0] == events[0] and result.events[-1] == events[-1]
+        assert result.events[1:3] == events[1:3]
+        assert events[2] in result.events and result.events.index(events[2]) == 2
+        assert not hasattr(result.events, "append")
+        assert result == ingest_xes(io.BytesIO(MESSY_XES.encode()))
+        assert result != ingest_xes(io.BytesIO(MINIMAL_XES.encode()))
+
+    def test_events_are_made_once_and_only_when_read(self, monkeypatch):
+        made = []
+
+        def counting(*fields):
+            made.append(fields)
+            return RawEvent(*fields)
+
+        monkeypatch.setattr(event_log, "RawEvent", counting)
+        xes = ingest_xes(io.BytesIO(_generated_xes(30, 4)))
+        rows = "".join(f"c{i % 3},a{i % 2},2020-01-01T00:00:{i:02d}\n" for i in range(9))
+        text = ingest_csv(csv_stream("case,activity,time\n" + rows))
+        for result, n in ((xes, 120), (text, 9)):
+            assert len(result.events) == n and result.events
+            build_log(result.events)
+            assert not made
+            assert len(list(result.events)) == n and len(made) == n
+            assert result.events[0] is next(iter(result.events))
+            assert len(list(result.events)) == n and len(made) == n
+            made.clear()
+
+
+_LABELS = ("a", "b", "c d", "e,f", 'g"h', "i<j&k")
+# Time-of-day formats; the first three read 12:mm UTC, so stamps tie across
+# formats.
+_STAMPS = ("12:{:02d}:00+00:00", "12:{:02d}:00Z", "14:{:02d}:00+02:00", "11:{:02d}:00.5-01:00",
+           "12:{:02d}:00.1234567Z")
+
+
+@st.composite
+def _event_logs(draw):
+    """Traces as (case name or None, events); an event is (activity or None,
+    minute, stamp format or None).  Names repeat, so traces merge; None marks
+    a missing name, activity or timestamp."""
+    names = st.one_of(st.none(), st.sampled_from(["c1", "c2", "c3", "c4"]))
+    events = st.tuples(
+        st.one_of(st.none(), st.sampled_from(_LABELS)),
+        st.integers(0, 4),
+        st.one_of(st.none(), st.sampled_from(_STAMPS)),
+    )
+    return draw(st.lists(st.tuples(names, st.lists(events, max_size=6)), min_size=1, max_size=8))
+
+
+def _write_xes(traces, namespaced: bool) -> bytes:
+    parts = ['<log xmlns="http://www.xes-standard.org/">' if namespaced else "<log>"]
+    for name, events in traces:
+        parts.append("<trace>")
+        if name is not None:
+            parts.append(f'<string key="concept:name" value="{name}"/>')
+        for activity, minute, stamp in events:
+            parts.append("<event>")
+            if activity is not None:
+                parts.append(f'<string key="concept:name" value={quoteattr(activity)}/>')
+            if stamp is not None:
+                parts.append(f'<date key="time:timestamp" value="2020-01-01T{stamp.format(minute)}"/>')
+            parts.append("</event>")
+        parts.append("</trace>")
+    return ("".join(parts) + "</log>").encode()
+
+
+def _write_csv(traces) -> bytes:
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["case", "activity", "time"])
+    for name, events in traces:
+        for activity, minute, stamp in events:
+            writer.writerow([name or "", activity or "", "" if stamp is None else f"2020-01-01T{stamp.format(minute)}"])
+    return out.getvalue().encode()
+
+
+@given(_event_logs())
+@settings(max_examples=60, deadline=None)
+def test_grouped_events_build_the_log_their_list_builds(traces):
+    # Each event is one CSV row in XES file order, so both readers give the
+    # same events with the same indices, and unusable ones at the same
+    # indices.
+    xes = _write_xes(traces, namespaced=False)
+    results = [ingest_xes(io.BytesIO(data)) for data in
+               (xes, _write_xes(traces, namespaced=True), gzip.compress(xes))]
+    results.append(ingest_csv(io.BytesIO(_write_csv(traces))))
+    expected = list(results[0].events)
+    n_events = sum(len(events) for _, events in traces)
+    for result in results:
+        events = list(result.events)
+        assert events == expected and len(result.events) == len(events)
+        assert [e.source_index for e in events] == sorted(e.source_index for e in events)
+        assert sorted([e.index for e in result.errors] + [e.source_index for e in events]) == list(range(n_events))
+        if events:
+            assert build_log(result.events) == build_log(events)
+        else:
+            with pytest.raises(InputError):
+                build_log(result.events)
+    assert [e.index for e in results[3].errors] == [e.index for e in results[0].errors]
+
+
 def _generated_xes(n_traces: int, per_trace: int) -> bytes:
     """An XES log under the standard namespace: 16 activities, one second apart."""
     parts = ['<log xmlns="http://www.xes-standard.org/">']
@@ -224,9 +452,10 @@ def _generated_xes(n_traces: int, per_trace: int) -> bytes:
 class TestIngestMemory:
     def test_bytes_held_per_event(self):
         # What an XES ingest leaves allocated per event, its input excluded:
-        # the event, its timestamp, its index and its list slot.  With an
-        # instance dict per event and a label string per event it held about
-        # 260 bytes; slotted events with shared labels hold about 160.
+        # the event's row, its timestamp, its index and its slot in its
+        # case's list.  With an instance dict per event and a label string
+        # per event it held about 260 bytes; slotted events with shared
+        # labels held about 160, and rows grouped by case hold about 167.
         stream = io.BytesIO(_generated_xes(1000, 12))
         tracemalloc.start()
         try:
@@ -275,6 +504,11 @@ class TestBuildLog:
     def test_timestamp_ties_keep_input_order(self):
         log = build_log([_ev("1", "x", 5, 0), _ev("1", "y", 5, 1), _ev("1", "z", 5, 2)])
         assert log.variant_labels(log.variants[0]) == ("x", "y", "z")
+
+    def test_equal_timestamp_and_source_index_keep_input_order(self):
+        # The sort never compares labels: "y" stays before "x".
+        log = build_log([_ev("1", "y", 5, 0), _ev("1", "x", 5, 0), _ev("2", "x", 5, 3), _ev("2", "w", 5, 3)])
+        assert sorted(log.variant_labels(v) for v in log.variants) == [("x", "w"), ("y", "x")]
 
     def test_no_events_is_an_input_error(self):
         with pytest.raises(InputError):
