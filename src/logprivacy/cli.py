@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .anonymize import AnonymizationConfig, Strategy, k_anonymize
 from .background import BkType, DEFAULT_CANDIDATE_CAP, enumerate_candidates
-from .errors import CandidateLimitError, InputError, LogPrivacyError, SolverError
+from .errors import InputError, LogPrivacyError, SolverError
 from .event_log import ColumnMapping, EventLog, RowError, build_log, ingest_csv, ingest_xes, stats
 from .risk import Aggregation, risk_profile
 from .utility import build_problem, data_utility, solve, utility_report, write_plan_csv
@@ -49,8 +49,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _exit_code(exc: Exception) -> int:
     """The exit code for a package error, a ``ValueError`` or an ``OSError``."""
-    if isinstance(exc, CandidateLimitError):
-        return EXIT_RESOURCE
     if isinstance(exc, SolverError):
         return EXIT_SOLVER
     return EXIT_INPUT
@@ -251,7 +249,8 @@ def _cmd_risk(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int
             if not sizes:
                 continue
             for size, index in enumerate_candidates(log, bk_type, sizes, cap=args.cap).items():
-                with open(dump_dir / f"candidates_{bk_type.value}_{size}.csv", "w") as fh:
+                path = dump_dir / f"candidates_{bk_type.value}_{size}.csv"
+                with open(path, "w", encoding="utf-8", newline="") as fh:
                     index.write_csv(fh)
     cells, skipped, failures = _cells_payload(profile)
     results = {
@@ -293,7 +292,7 @@ def _cmd_utility(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, 
         "n_flows": len(utility.plan.flows),
     }
     if args.plan_out:
-        with open(args.plan_out, "w", newline="") as fh:
+        with open(args.plan_out, "w", encoding="utf-8", newline="") as fh:
             write_plan_csv(problem, utility.plan, fh)
     return {args.original: digest_a, args.anonymized: digest_b}, results, EXIT_OK
 
@@ -317,7 +316,7 @@ def _cmd_sweep(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, in
                 anonymized, args.types, args.sizes, args.aggregation, cap=args.cap
             )
             utility = data_utility(log, anonymized)
-        except (ValueError, CandidateLimitError, SolverError) as exc:
+        except (ValueError, SolverError) as exc:
             record["error"] = str(exc)
             worst_exit = max(worst_exit, _exit_code(exc))
             continue

@@ -373,7 +373,9 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
     Only the minimal attribute subset is used: the trace-level concept:name
     becomes the case id, the event-level concept:name the activity, and
     time:timestamp the ordering instant.  Events lacking any of these are
-    reported and excluded; everything else in the file is ignored.
+    reported and excluded; everything else in the file is ignored.  Each
+    event of a trace without a concept:name is reported once, as such,
+    whatever else the event lacks.
     """
     cases: dict[str, list[_Row]] = {}
     errors: list[RowError] = []
@@ -389,12 +391,15 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
             if local[child.tag] == "string" and child.get("key") == "concept:name":
                 case_id = (child.get("value") or "").strip()
                 break
-        pending: list[tuple[int, str, str | None]] = []
+        rows: list[_Row] = []
         for child in trace_elem:
             if local[child.tag] != "event":
                 continue
             idx = source_index
             source_index += 1
+            if not case_id:
+                errors.append(RowError(idx, "event belongs to a trace without a concept:name"))
+                continue
             activity = ""
             raw_time: str | None = None
             for attr in child:
@@ -403,13 +408,6 @@ def ingest_xes(stream: BinaryIO) -> IngestResult:
                     activity = (attr.get("value") or "").strip()
                 elif key == "time:timestamp":
                     raw_time = attr.get("value") or ""
-            pending.append((idx, activity, raw_time))
-        if not case_id:
-            for idx, _, _ in pending:
-                errors.append(RowError(idx, "event belongs to a trace without a concept:name"))
-            return
-        rows: list[_Row] = []
-        for idx, activity, raw_time in pending:
             if not activity:
                 errors.append(RowError(idx, "event is missing concept:name"))
                 continue

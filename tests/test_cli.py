@@ -3,10 +3,14 @@ from __future__ import annotations
 import csv
 import gzip
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import logprivacy
 from logprivacy import AnonymizationConfig, EventLog, SolverError, Strategy, cli, k_anonymize, utility
 from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_USAGE, main
 
@@ -153,6 +157,28 @@ class TestRisk:
         assert captured.out == ""
         assert captured.err.startswith("usage: logprivacy")
         assert "candidate cap must be an integer >= 1" in captured.err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("risk", "--sizes", "a", "bad size 'a'"),
+            ("risk", "--sizes", "1-x", "bad size range '1-x'"),
+            ("risk", "--sizes", "0", "sizes must be >= 1"),
+            ("risk", "--sizes", ",", "at least one size is required"),
+            ("risk", "--types", ",", "at least one background-knowledge type is required"),
+            ("sweep", "--k-values", "0", "k values must be integers >= 1"),
+            ("sweep", "--k-values", "x", "bad k list 'x'"),
+            ("risk", "--cap", "x", "bad cap 'x'"),
+        ],
+    )
+    def test_bad_flag_values_are_usage_errors(self, capsys, ex2_l2_csv, command, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(ex2_l2_csv), flag, value])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: logprivacy")
+        assert f"argument {flag}: {message}\n" in captured.err
 
     def test_cells_are_listed_in_grid_order(self, capsys, ex2_l2_csv):
         code, report = run_json(
@@ -502,3 +528,24 @@ class TestXesInput:
             code, report = run_json(capsys, ["stats", str(path)])
             assert code == EXIT_OK
             assert report["results"]["stats"]["n_events"] == n_events
+
+
+class TestOutputEncoding:
+    def test_output_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # Ingest reads UTF-8 whatever the locale, so the files the CLI
+        # writes must not depend on it either.
+        log = tmp_path / "umlaut.csv"
+        log.write_bytes("case,activity,time\n1,Ärzt,2020-01-01T00:00:00\n1,b,2020-01-01T00:01:00\n".encode())
+        dump, plan = tmp_path / "dump", tmp_path / "plan.csv"
+        src = str(Path(logprivacy.__file__).parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONPATH": src}
+        for argv in (
+            ["risk", str(log), "--sizes", "1", "--types", "seq", "--dump-candidates", str(dump)],
+            ["utility", str(log), str(log), "--plan-out", str(plan)],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "logprivacy.cli", *argv], env=env, capture_output=True, timeout=120
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+        for path in (dump / "candidates_seq_1.csv", plan):
+            assert "Ärzt" in path.read_bytes().decode("utf-8")

@@ -302,6 +302,49 @@ class TestIngestOrder:
                 (8, "event is missing time:timestamp"),
             ]
 
+    def test_events_of_a_nameless_trace_are_reported_once_whatever_they_lack(self):
+        xml = """<log>
+          <trace><string key="concept:name" value="c1"/>
+            <event><string key="concept:name" value="a"/><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+          </trace>
+          <trace><string key="org:resource" value="r1"/>
+            <event><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+            <event><string key="concept:name" value="b"/></event>
+            <event><string key="concept:name" value="c"/><date key="time:timestamp" value="nope"/></event>
+            <event/>
+            <event><string key="concept:name" value="d"/><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+          </trace>
+          <trace><string key="concept:name" value="c2"/>
+            <event><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+          </trace>
+        </log>"""
+        result = ingest_xes(io.BytesIO(xml.encode()))
+        assert list(result.events) == [RawEvent("c1", "a", _at(9, 0), 0)]
+        assert [(e.index, e.message) for e in result.errors] == [
+            (i, "event belongs to a trace without a concept:name") for i in range(1, 6)
+        ] + [(6, "event is missing concept:name")]
+
+    def test_a_trace_named_after_its_events_is_named(self):
+        xml = """<log><trace>
+          <event><string key="concept:name" value="a"/><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+          <string key="concept:name" value="late"/>
+          <event><string key="concept:name" value="b"/><date key="time:timestamp" value="2020-01-01T10:00:00Z"/></event>
+        </trace></log>"""
+        result = ingest_xes(io.BytesIO(xml.encode()))
+        assert list(result.events) == [
+            RawEvent("late", "a", _at(9, 0), 0), RawEvent("late", "b", _at(10, 0), 1),
+        ]
+        assert not result.errors
+
+    def test_a_trace_with_two_names_takes_the_first(self):
+        xml = """<log><trace><string key="concept:name" value="first"/>
+          <event><string key="concept:name" value="a"/><date key="time:timestamp" value="2020-01-01T09:00:00Z"/></event>
+          <string key="concept:name" value="second"/>
+        </trace></log>"""
+        result = ingest_xes(io.BytesIO(xml.encode()))
+        assert list(result.events) == [RawEvent("first", "a", _at(9, 0), 0)]
+        assert not result.errors
+
     def test_csv_interleaved_cases(self):
         text = (
             "case,activity,time\n"
