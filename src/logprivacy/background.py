@@ -186,6 +186,25 @@ def project(log: EventLog, candidate: Candidate) -> Projection:
 # -- the index ---------------------------------------------------------------
 
 
+def _key_bits(n_labels: int) -> int:
+    """Bits per activity code in a packed key over ``n_labels`` activities."""
+    return max(1, (n_labels - 1).bit_length())
+
+
+def _key_digits(keys: np.ndarray, size: int, bits: int) -> Iterator[np.ndarray]:
+    """The activity ids of size-``size`` packed keys, one array per position, first to last.
+
+    A key word holds ``63 // bits`` codes, the earliest in its highest bits;
+    the last word holds the rest.
+    """
+    mask = (1 << bits) - 1
+    per_word = 63 // bits
+    for w, word in enumerate(keys.T):
+        n = min(per_word, size - w * per_word)
+        for i in range(n):
+            yield (word >> (bits * (n - 1 - i))) & mask
+
+
 class CandidateIndex:
     """All size-l candidates of one type with non-empty projections.
 
@@ -219,15 +238,10 @@ class CandidateIndex:
         Yields (ids, cardinalities) for blocks of at most 65,536 candidates
         of one part.
         """
-        mask = (1 << self._bits) - 1
-        per_word = 63 // self._bits
         step = 1 << 16
         for keys, cards, _ in self._parts:
             for lo in range(0, len(cards), step):
-                columns = []
-                for w, word in enumerate(keys[lo : lo + step].T):
-                    n = min(per_word, self.size - w * per_word)
-                    columns += [(word >> (self._bits * (n - 1 - i))) & mask for i in range(n)]
+                columns = list(_key_digits(keys[lo : lo + step], self.size, self._bits))
                 yield np.stack(columns, axis=1), cards[lo : lo + step]
 
     def parts(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -477,9 +491,10 @@ def enumerate_candidates(
     candidates, as soon as that first activity closes, first activities
     ascending.  By default a size's consumer is its :class:`CandidateIndex`,
     which keeps the parts.  ``fold``, when given, is called with no
-    arguments once per requested size, and what it returns is that size's
-    consumer; no index is built.  The result holds each size's consumer,
-    and a size over the cap drops its consumer.
+    arguments once per distinct requested size, in ascending order of size,
+    and what it returns is that size's consumer; no index is built.  The
+    result holds each size's consumer, and a size over the cap drops its
+    consumer.
     """
     if not isinstance(bk_type, BkType):
         raise ValueError(f"unknown background-knowledge type {bk_type!r}")
@@ -489,7 +504,7 @@ def enumerate_candidates(
         raise ValueError("candidate cap must be >= 1")
 
     n_labels = len(log.labels)
-    bits = max(1, (n_labels - 1).bit_length())
+    bits = _key_bits(n_labels)
     # One table column per ``bits``-bit activity code, so the cell of row r
     # and activity a in a block of rows is ``r << bits | a``.
     nxt, starts, end = _next_occurrence(

@@ -28,7 +28,7 @@ from .background import BkType, DEFAULT_CANDIDATE_CAP, enumerate_candidates
 from .errors import InputError, LogPrivacyError, SolverError
 from .event_log import ColumnMapping, EventLog, RowError, build_log, ingest_csv, ingest_xes, stats
 from .risk import Aggregation, risk_profile
-from .utility import build_problem, data_utility, solve, utility_report, write_plan_csv
+from .utility import GroundCost, build_problem, data_utility, solve, utility_report, write_plan_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -305,17 +305,22 @@ def _utility_table(results: dict) -> None:
 def _cmd_sweep(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
     log, errors, digest = _load_log(args.log, args, timing)
     t0 = time.perf_counter()
+    # One ground cost for the whole sweep: every k's anchors are original
+    # variants, so each (variant, anchor) distance is computed once.
+    cost = GroundCost(log)
     records = []
     worst_exit = EXIT_OK
     for k in args.k_values:
         record: dict = {"k": k}
         records.append(record)
         try:
-            anonymized = k_anonymize(log, AnonymizationConfig(k=k, strategy=args.strategy))
+            anonymized = k_anonymize(
+                log, AnonymizationConfig(k=k, strategy=args.strategy), cost=cost
+            )
             profile = risk_profile(
                 anonymized, args.types, args.sizes, args.aggregation, cap=args.cap
             )
-            utility = data_utility(log, anonymized)
+            utility = data_utility(log, anonymized, cost=cost)
         except (ValueError, SolverError) as exc:
             record["error"] = str(exc)
             worst_exit = max(worst_exit, _exit_code(exc))

@@ -22,7 +22,15 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .background import BkType, CandidateIndex, DEFAULT_CANDIDATE_CAP, _wanted_sizes, enumerate_candidates
+from .background import (
+    BkType,
+    CandidateIndex,
+    DEFAULT_CANDIDATE_CAP,
+    _key_bits,
+    _key_digits,
+    _wanted_sizes,
+    enumerate_candidates,
+)
 from .errors import CandidateLimitError
 from .event_log import EventLog
 
@@ -89,6 +97,53 @@ class _Sums:
         return self.uniq_sum / self.n, 1.0 - self.ratio_sum / self.n
 
 
+class _MultAndSet:
+    """A multiset size's sums, and those of the set candidates among its candidates.
+
+    A set candidate is a multiset candidate whose activities strictly
+    increase: it has the same packed key and matches the same variants,
+    which add the same trace counts.  So each part of a multiset size is
+    folded whole into ``mult`` and, restricted to its strictly increasing
+    keys, into ``set``.
+    """
+
+    def __init__(self, size: int, bits: int):
+        self.size, self.bits = size, bits
+        self.mult, self.set = _Sums(), _Sums()
+
+    def __call__(self, keys: np.ndarray, cards: np.ndarray, entsums: np.ndarray) -> None:
+        self.mult(keys, cards, entsums)
+        digits = _key_digits(keys, self.size, self.bits)
+        prev = next(digits)
+        rising = np.ones(len(cards), dtype=bool)
+        for digit in digits:
+            rising &= digit > prev
+            prev = digit
+        if rising.any():
+            self.set(keys[rising], cards[rising], entsums[rising])
+
+
+def _set_and_mult(log: EventLog, sizes: list[int], cap: int) -> tuple[dict, dict]:
+    """The set and the multiset sums of each size, from one multiset pass where it can.
+
+    A size whose multiset candidates exceed the cap loses its set sums with
+    them, so its set candidates, which may fit the cap, get a set pass of
+    their own.  Each value is a :class:`_Sums` or a
+    :class:`CandidateLimitError`.
+    """
+    bits = _key_bits(len(log.labels))
+    # The pass makes one consumer per distinct size, in ascending order.
+    ascending = iter(sizes)
+    both = enumerate_candidates(log, BkType.MULTISET, sizes, cap=cap,
+                                fold=lambda: _MultAndSet(next(ascending), bits))
+    capped = [size for size, found in both.items() if isinstance(found, CandidateLimitError)]
+    mult = {size: found if size in capped else found.mult for size, found in both.items()}
+    sets = {size: found.set for size, found in both.items() if size not in capped}
+    if capped:
+        sets.update(enumerate_candidates(log, BkType.SET, capped, cap=cap, fold=_Sums))
+    return sets, mult
+
+
 def _fold(index: CandidateIndex) -> _Sums:
     if index.candidate_count == 0:
         raise ValueError("no candidates at this size")
@@ -124,10 +179,13 @@ def risk_profile(
 
     Each distinct type is enumerated in one pass over all requested sizes,
     which folds each first activity's candidates into the cell's sums as
-    it closes.  Cells whose enumeration hits the candidate cap are recorded
-    in ``failures`` with the error text; the remaining cells are still
-    computed.  No types, a type that is not a :class:`BkType`, no sizes, or
-    a size that is not an integer >= 1 raise ``ValueError`` before any pass.
+    it closes.  A grid that asks for both sets and multisets scores its set
+    cells from the multiset pass, and runs a set pass only for the sizes
+    whose multiset candidates exceed the cap.  Cells whose enumeration hits
+    the candidate cap are recorded in ``failures`` with the error text; the
+    remaining cells are still computed.  No types, a type that is not a
+    :class:`BkType`, no sizes, or a size that is not an integer >= 1 raise
+    ``ValueError`` before any pass.
     """
     type_list = list(types)
     size_list = list(sizes)
@@ -135,15 +193,22 @@ def risk_profile(
         raise ValueError("at least one background-knowledge type is required")
     if not all(isinstance(t, BkType) for t in type_list):
         raise ValueError("background-knowledge types must be BkType members")
-    _wanted_sizes(size_list)
+    wanted = _wanted_sizes(size_list)
+    # A repeated type or size keeps its first place in grid order.
+    distinct = list(dict.fromkeys(type_list))
+    found: dict[BkType, dict] = {}
+    if BkType.SET in distinct and BkType.MULTISET in distinct:
+        found[BkType.SET], found[BkType.MULTISET] = _set_and_mult(log, wanted, cap)
+    for bk_type in distinct:
+        if bk_type not in found:
+            found[bk_type] = enumerate_candidates(log, bk_type, wanted, cap=cap, fold=_Sums)
     scores: dict[tuple[BkType, int], RiskScore] = {}
     skipped: dict[tuple[BkType, int], str] = {}
     failures: dict[tuple[BkType, int], str] = {}
-    # A repeated type or size keeps its first place in grid order.
-    for bk_type in dict.fromkeys(type_list):
-        found = enumerate_candidates(log, bk_type, size_list, cap=cap, fold=_Sums)
+    for bk_type in distinct:
+        cells = dict(found[bk_type])
         for size in size_list:
-            sums = found.pop(size, None)
+            sums = cells.pop(size, None)
             if sums is None:
                 continue
             if isinstance(sums, CandidateLimitError):

@@ -29,7 +29,7 @@ import csv
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -100,20 +100,78 @@ class UtilityReport:
     plan: TransportPlan
 
 
-def build_problem(original: EventLog, anonymized: EventLog) -> TransportProblem:
+class GroundCost:
+    """Normalized edit distances from one log's variants to traces asked about.
+
+    The rows are the original log's labelled variants, in canonical order,
+    labelled once.  :meth:`columns` computes each trace's column the first
+    time it is asked for and keeps it, so a sweep that asks every k about
+    anchors drawn from the same variants computes each (variant, anchor)
+    pair once.  Each entry is an integer edit distance divided by the longer
+    length, so a column read back is bit-identical to one computed afresh.
+    """
+
+    def __init__(self, original: EventLog):
+        self.original = original
+        self.rows = tuple(original.variant_labels(v) for v in original.variants)
+        self._blocks: list[np.ndarray] = []
+        # trace -> (block, column) of its kept column
+        self._where: dict[LabelTrace, tuple[int, int]] = {}
+
+    @classmethod
+    def of(cls, original: EventLog, cost: GroundCost | None) -> GroundCost:
+        """``cost`` when it was built for ``original``, a new one when ``None``."""
+        if cost is None:
+            return cls(original)
+        if cost.original is not original and cost.original != original:
+            raise ValueError("the ground cost was built for another log")
+        return cost
+
+    def columns(self, traces: Sequence[LabelTrace]) -> np.ndarray:
+        """The rows x ``traces`` matrix, read-only.
+
+        Traces not asked about before are computed in one
+        :func:`distance_matrix` call.  When the request is exactly one
+        computed block's columns, in order, that block is returned without a
+        copy; otherwise the columns are gathered into a new matrix.
+        """
+        traces = [tuple(t) for t in traces]
+        missing = [t for t in dict.fromkeys(traces) if t not in self._where]
+        if missing:
+            block = distance_matrix(self.rows, missing)
+            block.flags.writeable = False
+            self._where.update((t, (len(self._blocks), j)) for j, t in enumerate(missing))
+            self._blocks.append(block)
+        places = [self._where[t] for t in traces]
+        if places:
+            whole = places[0][0]
+            if places == [(whole, j) for j in range(self._blocks[whole].shape[1])]:
+                return self._blocks[whole]
+        out = np.empty((len(self.rows), len(traces)))
+        for j, (b, c) in enumerate(places):
+            out[:, j] = self._blocks[b][:, c]
+        out.flags.writeable = False
+        return out
+
+
+def build_problem(
+    original: EventLog, anonymized: EventLog, *, cost: GroundCost | None = None
+) -> TransportProblem:
     """Assemble the transport problem between two logs' variant distributions.
 
     Distances are taken between the variants' activity labels, so they are
-    well-defined across logs with different label sets.
+    well-defined across logs with different label sets.  ``cost``, a
+    :class:`GroundCost` of ``original``, supplies them; without it one is
+    built for this problem.
     """
-    rows = tuple(original.variant_labels(v) for v in original.variants)
+    cost = GroundCost.of(original, cost)
     cols = tuple(anonymized.variant_labels(v) for v in anonymized.variants)
     return TransportProblem(
-        source_variants=rows,
+        source_variants=cost.rows,
         source_counts=original.counts,
         sink_variants=cols,
         sink_counts=anonymized.counts,
-        cost=distance_matrix(rows, cols),
+        cost=cost.columns(cols),
     )
 
 
@@ -309,21 +367,27 @@ def utility_report(plan: TransportPlan) -> UtilityReport:
     return UtilityReport(ul=ul, du=1.0 - ul, plan=plan)
 
 
-def data_utility(original: EventLog, anonymized: EventLog) -> UtilityReport:
+def data_utility(
+    original: EventLog, anonymized: EventLog, *, cost: GroundCost | None = None
+) -> UtilityReport:
     """Utility loss and preserved data utility between two logs.
 
     Logs with the same labelled variants and counts lose nothing: the
-    identity plan is returned without building the cost matrix.  Otherwise
-    ``solve`` takes the problem.
+    identity plan is returned without computing any distance.  Otherwise
+    ``solve`` takes the problem, whose distances come from ``cost``, a
+    :class:`GroundCost` of ``original``, or from one built for this call.
     """
+    cost = GroundCost.of(original, cost)
     if original == anonymized:
-        sink = {anonymized.variant_labels(v): j for j, v in enumerate(anonymized.variants)}
-        flows = {
-            (i, sink[original.variant_labels(v)]): c / original.total_traces
-            for i, (v, c) in enumerate(zip(original.variants, original.counts))
-        }
+        if anonymized is original:
+            sink = range(len(original.variants))
+        else:
+            index = {anonymized.variant_labels(v): j for j, v in enumerate(anonymized.variants)}
+            sink = [index[labels] for labels in cost.rows]
+        flows = {(i, j): c / original.total_traces
+                 for i, (j, c) in enumerate(zip(sink, original.counts))}
         return UtilityReport(ul=0.0, du=1.0, plan=TransportPlan(flows=flows, objective=0.0))
-    return utility_report(solve(build_problem(original, anonymized)))
+    return utility_report(solve(build_problem(original, anonymized, cost=cost)))
 
 
 def write_plan_csv(problem: TransportProblem, plan: TransportPlan, out: TextIO) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from logprivacy import (
@@ -9,11 +10,13 @@ from logprivacy import (
     AnonymizationConfig,
     BkType,
     EventLog,
+    GroundCost,
     Strategy,
     case_disclosure,
     enumerate_candidates,
     k_anonymize,
     stats,
+    utility,
 )
 from oracles import random_log
 
@@ -112,6 +115,33 @@ class TestIdentityAndInvariants:
     def test_invalid_k_rejected_at_config(self):
         with pytest.raises(ValueError):
             AnonymizationConfig(k=0, strategy=Strategy.SUPPRESS)
+
+    def test_config_fields_must_have_their_types(self):
+        # A strategy given as its string once ran merge-nearest, k=2.5 acted
+        # as 3, k=True as 1, and k="3" raised a bare TypeError.
+        for k in (2.5, True, "3", None):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                AnonymizationConfig(k=k, strategy=Strategy.SUPPRESS)
+        for strategy in ("suppress", "merge-nearest", None):
+            with pytest.raises(ValueError, match="strategy must be a Strategy"):
+                AnonymizationConfig(k=2, strategy=strategy)
+        assert AnonymizationConfig(k=np.int64(2), strategy=Strategy.SUPPRESS).k == 2
+
+    def test_a_k_leaving_no_variant_below_it_returns_the_log(self, example1_log, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a distance was computed")
+
+        monkeypatch.setattr(utility, "distance_matrix", refuse)
+        for strategy in Strategy:
+            config = AnonymizationConfig(k=min(example1_log.counts), strategy=strategy)
+            assert k_anonymize(example1_log, config) is example1_log
+
+    def test_a_ground_cost_of_another_log_is_refused(self, example1_log):
+        other = EventLog.from_counts({("a", "b"): 5, ("a", "c"): 1})
+        for strategy in Strategy:
+            with pytest.raises(ValueError, match="another log"):
+                k_anonymize(other, AnonymizationConfig(k=2, strategy=strategy),
+                            cost=GroundCost(example1_log))
 
     def test_worst_case_disclosure_bounded_by_inverse_k(self):
         rng = random.Random(14)

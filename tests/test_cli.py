@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import itertools
 import json
 import os
 import subprocess
@@ -11,8 +12,20 @@ from pathlib import Path
 import pytest
 
 import logprivacy
-from logprivacy import AnonymizationConfig, EventLog, SolverError, Strategy, cli, k_anonymize, utility
+from logprivacy import (
+    AnonymizationConfig,
+    BkType,
+    EventLog,
+    SolverError,
+    Strategy,
+    cli,
+    data_utility,
+    k_anonymize,
+    risk_profile,
+    utility,
+)
 from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_USAGE, main
+from oracles import markov_log_pair
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -39,7 +52,7 @@ def write_log_csv(path: Path, counted: dict) -> Path:
         for _ in range(count):
             case += 1
             for i, activity in enumerate(trace):
-                rows.append((f"c{case}", activity, f"2020-01-01T00:{i:02d}:00"))
+                rows.append((f"c{case}", activity, f"2020-01-01T{i // 60:02d}:{i % 60:02d}:00"))
     return write_csv(path, rows)
 
 
@@ -379,6 +392,69 @@ class TestSweep:
             assert record["cells"] == [] and record["du"] == 1.0
             assert [(f["type"], f["size"]) for f in record["failures"]] == [("set", 1)]
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_records_equal_per_k_calls_that_build_their_own_cost(
+        self, capsys, tmp_path, strategy
+    ):
+        # Counts doubled, so k = 2 leaves no variant below it; the last k is
+        # above every count.
+        for seed in (4, 7):
+            markov = markov_log_pair(seed, 160, 6)[0]
+            counted = {markov.variant_labels(v): 2 * c for v, c in zip(markov.variants, markov.counts)}
+            log = EventLog.from_counts(counted)
+            path = write_log_csv(tmp_path / f"markov-{seed}.csv", counted)
+            top = max(log.counts)
+            ks = sorted({1, 2, 3, 4, 5, 8, top, top + 1})
+            code, report = run_json(capsys, [
+                "sweep", str(path), "--strategy", strategy.value, "--types", "set,mult",
+                "--sizes", "1-3", "--k-values", ",".join(map(str, ks)),
+            ])
+            assert code == EXIT_INPUT
+            expected = []
+            for k in ks:
+                try:
+                    anonymized = k_anonymize(log, AnonymizationConfig(k, strategy))
+                except ValueError as exc:
+                    expected.append({"k": k, "error": str(exc)})
+                    continue
+                report_k = data_utility(log, anonymized)
+                profile = risk_profile(anonymized, [BkType.SET, BkType.MULTISET], [1, 2, 3])
+                cells, skipped, failures = cli._cells_payload(profile)
+                expected.append({
+                    "k": k, "ul": report_k.ul, "du": report_k.du, "cells": cells,
+                    "skipped": skipped, "failures": failures,
+                    "anonymized": cli._stats_payload(anonymized),
+                })
+            assert expected[-1] == {"k": top + 1, "error": "k too large for this log"}
+            assert report["results"]["records"] == expected
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_a_sweep_computes_each_distance_once(self, capsys, tmp_path, monkeypatch, strategy):
+        calls, pairs = [], []
+        real = utility.distance_matrix
+
+        def counted(rows, cols):
+            calls.append((len(rows), len(cols)))
+            pairs.extend(itertools.product(rows, cols))
+            return real(rows, cols)
+
+        monkeypatch.setattr(utility, "distance_matrix", counted)
+        log = markov_log_pair(5, 300, 6)[0]
+        path = write_log_csv(
+            tmp_path / "markov.csv",
+            {log.variant_labels(v): c for v, c in zip(log.variants, log.counts)},
+        )
+        code, report = run_json(capsys, [
+            "sweep", str(path), "--strategy", strategy.value, "--types", "set",
+            "--sizes", "1", "--k-values", "1,2,3,4,8",
+        ])
+        assert code == EXIT_OK
+        assert [r["du"] < 1.0 for r in report["results"]["records"]] == [False] + [True] * 4
+        # The first k above 1 asks about every anchor of the later ones.
+        n_anchors = sum(c >= 2 for c in log.counts)
+        assert calls == [(len(log.variants), n_anchors)]
+        assert len(pairs) == len(set(pairs))
+
     def test_table_shows_error_rows_beside_scored_ones(self, capsys, ex2_l2_csv):
         code = main(
             ["sweep", str(ex2_l2_csv), "--k-values", "1,999", "--types", "set", "--sizes", "1", "--table"]
@@ -395,10 +471,10 @@ class TestSweep:
     ):
         real_data_utility = cli.data_utility
 
-        def data_utility(original, anonymized):
+        def data_utility(original, anonymized, *, cost):
             if original != anonymized:
                 raise SolverError("optimal plan violates marginal conservation")
-            return real_data_utility(original, anonymized)
+            return real_data_utility(original, anonymized, cost=cost)
 
         monkeypatch.setattr(cli, "data_utility", data_utility)
         original, _ = ex3_files

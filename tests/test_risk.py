@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -19,6 +20,7 @@ from logprivacy import (
     trace_disclosure,
 )
 from oracles import markov_log_pair, naive_case_disclosure, naive_trace_disclosure, random_log
+from test_background import each_reduction
 
 KINDS = {"set": BkType.SET, "mult": BkType.MULTISET, "seq": BkType.SEQUENCE}
 
@@ -254,6 +256,110 @@ class TestFoldedProfile:
         profile = risk_profile(example1_log, [set_, seq, set_], [1, 2])
         assert passes == [set_, seq]
         assert list(profile.scores) == [(set_, 1), (set_, 2), (seq, 1), (seq, 2)]
+
+
+def wide_log(seed: int) -> EventLog:
+    """Traces over about 1,300 activities: 11-bit codes, so a size-6 key takes two words.
+
+    Each of 330 pools of four activities makes one or two variants, so
+    activities repeat within a trace and candidates are shared.
+    """
+    rng = random.Random(seed)
+    traces = {}
+    for j in range(480):
+        pool = [f"act{4 * (j % 330) + i:04d}" for i in range(4)]
+        traces[tuple(rng.choice(pool) for _ in range(rng.randint(3, 9)))] = rng.randint(1, 4)
+    log = EventLog.from_counts(traces)
+    assert 6 * (len(log.labels) - 1).bit_length() > 63
+    return log
+
+
+class TestSetFromMult:
+    """A grid asking for sets and multisets scores its set cells from the multiset pass."""
+
+    def passes(self, monkeypatch) -> list:
+        made = []
+
+        def counted(log, bk_type, sizes, *args, **kwargs):
+            made.append((bk_type, list(sizes)))
+            return enumerate_candidates(log, bk_type, sizes, *args, **kwargs)
+
+        monkeypatch.setattr(logprivacy.risk, "enumerate_candidates", counted)
+        return made
+
+    def assert_set_cells_agree(self, both, alone):
+        set_ = BkType.SET
+        assert {c: m for c, m in both.skipped.items() if c[0] is set_} == alone.skipped
+        assert {c: m for c, m in both.failures.items() if c[0] is set_} == alone.failures
+        scored = {c: s for c, s in both.scores.items() if c[0] is set_}
+        assert list(scored) == list(alone.scores)
+        for cell, score in alone.scores.items():
+            got = scored[cell]
+            assert (got.n_candidates, got.cd) == (score.n_candidates, score.cd)
+            # Entropy sums may be added in another order: 4 ulps.
+            assert abs(got.td - score.td) <= 4 * math.ulp(max(got.td, score.td))
+
+    def assert_mult_pass_scores_sets(self, monkeypatch, log, aggregation):
+        sizes = [1, 2, 3, 4, 5, 6]
+        set_, mult = BkType.SET, BkType.MULTISET
+        made = self.passes(monkeypatch)
+        both = risk_profile(log, [set_, mult], sizes, aggregation)
+        assert made == [(mult, sizes)]
+        monkeypatch.undo()
+        self.assert_set_cells_agree(both, risk_profile(log, [set_], sizes, aggregation))
+        alone = risk_profile(log, [mult], sizes, aggregation)
+        assert {c: s for c, s in both.scores.items() if c[0] is mult} == alone.scores
+
+    def test_set_cells_equal_a_set_pass(
+        self, monkeypatch, example1_log, example2_l1, example2_l2, example3_original
+    ):
+        rng = random.Random(41)
+        logs = [example1_log, example2_l1, example2_l2, example3_original,
+                markov_log_pair(3, 200, 6)[0], markov_log_pair(5, 300, 4)[0],
+                *(random_log(rng, max_len=9) for _ in range(12))]
+        for patch in each_reduction(monkeypatch):
+            for log in logs:
+                # Both aggregations read the same sums.
+                for aggregation in Aggregation if not patch else [Aggregation.AVERAGE]:
+                    self.assert_mult_pass_scores_sets(monkeypatch, log, aggregation)
+        # Two-word keys are always sorted.
+        self.assert_mult_pass_scores_sets(monkeypatch, wide_log(1), Aggregation.AVERAGE)
+
+    def test_grid_order_holds_whatever_pass_scored_a_cell(self, example1_log):
+        seq, set_, mult = BkType.SEQUENCE, BkType.SET, BkType.MULTISET
+        profile = risk_profile(example1_log, [mult, seq, set_, mult], [2, 1, 9])
+        assert list(profile.scores) == [(t, s) for t in (mult, seq, set_) for s in (2, 1)]
+        assert list(profile.skipped) == [(mult, 9), (seq, 9), (set_, 9)]
+
+    def test_a_size_over_the_cap_for_multisets_gets_a_set_pass(self, monkeypatch):
+        # Sizes 1-6 have 6, 15, 20, 15, 6 and 1 set candidates, and 6, 21,
+        # 56, 126, 252 and 462 multiset ones.
+        log = markov_log_pair(3, 200, 6)[0]
+        sizes = [1, 2, 3, 4, 5, 6]
+        set_, mult = BkType.SET, BkType.MULTISET
+        made = self.passes(monkeypatch)
+        both = risk_profile(log, [set_, mult], sizes, cap=18)
+        assert made == [(mult, sizes), (set_, [2, 3, 4, 5, 6])]
+        monkeypatch.undo()
+        assert list(both.failures) == [(set_, 3), *((mult, size) for size in sizes[1:])]
+        self.assert_set_cells_agree(both, risk_profile(log, [set_], sizes, cap=18))
+
+    def test_fold_is_called_once_per_distinct_size_ascending(self, example1_log):
+        made = []
+
+        def fold():
+            consumer = CandidateIndex(example1_log.labels, BkType.MULTISET, 0, 2)
+            made.append(consumer)
+            return consumer
+
+        found = enumerate_candidates(example1_log, BkType.MULTISET, [3, 1, 4, 3, 2], fold=fold)
+        assert list(found) == [1, 2, 3, 4]
+        assert list(found.values()) == made
+        # Each consumer got its own size's candidates.
+        for size, consumer in found.items():
+            alone = enumerate_candidates(example1_log, BkType.MULTISET, size)
+            assert [k.tolist() for k, _, _ in consumer.parts()] == [
+                k.tolist() for k, _, _ in alone.parts()]
 
 
 @pytest.mark.skipif(

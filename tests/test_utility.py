@@ -9,11 +9,13 @@ import pytest
 from logprivacy import (
     AnonymizationConfig,
     EventLog,
+    GroundCost,
     InputError,
     SolverError,
     Strategy,
     build_problem,
     data_utility,
+    distance_matrix,
     k_anonymize,
     solve,
     write_plan_csv,
@@ -88,6 +90,54 @@ class TestBuildProblem:
             TransportProblem([(0,), (1,)], [1, 1], [(0,)], [2], np.zeros((1, 2)))
         with pytest.raises(ValueError, match="at least one source"):
             TransportProblem([], [], [(0,)], [2], np.zeros((0, 1)))
+
+
+class TestGroundCost:
+    def test_whole_blocks_come_uncopied_and_gathers_match_a_fresh_matrix(self, monkeypatch):
+        original, other = markov_log_pair(6, 120, 8)
+        traces = [other.variant_labels(v) for v in other.variants]
+        first, second = traces[:5], traces[5:9]
+        calls = []
+
+        def counted(rows, cols):
+            calls.append(len(cols))
+            return distance_matrix(rows, cols)
+
+        monkeypatch.setattr(utility, "distance_matrix", counted)
+        cost = GroundCost(original)
+        block = cost.columns(first)
+        assert cost.columns(first) is block
+        assert not block.flags.writeable
+        assert np.array_equal(block, distance_matrix(cost.rows, first))
+        later = cost.columns(second)
+        assert later is cost.columns(second) and not np.shares_memory(later, block)
+        requests = (first[::-1], first[:3], second + first, first[1:2] + second[2:] + first[:1],
+                    first + first[:1], [], traces[3:12])
+        for request in requests:
+            got = cost.columns(request)
+            assert got.shape == (len(original.variants), len(request))
+            assert not np.shares_memory(got, block) and not np.shares_memory(got, later)
+            if request:
+                assert np.array_equal(got, distance_matrix(cost.rows, request))
+        # Only traces[9:12] were new to the last request.
+        assert calls == [5, 4, 3]
+
+    def test_the_rows_are_the_labelled_variants(self, example1_log):
+        cost = GroundCost(example1_log)
+        assert cost.rows == tuple(example1_log.variant_labels(v) for v in example1_log.variants)
+        problem = build_problem(example1_log, example1_log, cost=cost)
+        assert problem.source_variants is cost.rows
+        assert problem.cost is cost.columns(cost.rows)
+
+    def test_a_ground_cost_of_another_log_is_refused(self, example1_log, example3_original):
+        cost = GroundCost(example1_log)
+        for call in (build_problem, data_utility):
+            with pytest.raises(ValueError, match="another log"):
+                call(example3_original, example1_log, cost=cost)
+        twin = EventLog.from_counts(
+            {example1_log.variant_labels(v): c for v, c in zip(example1_log.variants, example1_log.counts)}
+        )
+        assert data_utility(twin, example3_original, cost=cost) == data_utility(twin, example3_original)
 
 
 class TestSolve:
