@@ -50,35 +50,37 @@ its candidate of that size.
 
 Every requested level is reduced during the pass, straight to each
 candidate's cardinality and entropy sum, by a reduction of its own that
-keeps its own buffer, its own cap count and its own finished parts.  When a
-key fits one word, a first activity's keys differ only in the bits below it;
-if those span at most ``_DENSE_SPAN`` values (2**20: up to 16 activities at
-size 6), they are summed into dense bins over that span.  A requested level
-short of the largest bins its rows, which the pass builds anyway.  A dense
-largest level builds no leaf row: each chunk of rows one level short is
-turned straight into its leaves' bins, since a leaf's cell in the chunk's
-table block is ``row << bits | activity``, so its bin is that cell plus an
-offset of its row.  Each chunk's leaves are added into their bins with
-``np.add.at`` as soon as they are built, so no leaf is held and no step
-costs O(span).  A variant that occurs once adds exactly 1 to a cardinality
-and 0 to an entropy sum, and a row never leaves its variant's view.  So
-each first activity is grown twice, from the views of variants that occur
-once and then from the others', and every chunk holds one kind of row: a
-count-1 chunk adds 1 to its cardinality bins alone, and only repeated
-variants' chunks read their weights.  When a first activity closes, the
-non-empty bins are its candidates in canonical order.  Wider alphabets,
-larger sizes and multi-word keys hold their rows as keys, the largest level
-like any other, and sort them with the keys so far once they outnumber both
-those keys and ``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen per size, so one
+keeps its own buffer and its own cap count.  When a key fits one word, a
+first activity's keys differ only in the bits below it; if those span at
+most ``_DENSE_SPAN`` values (2**20: up to 16 activities at size 6), they are
+summed into dense bins over that span.  A requested level short of the
+largest bins its rows, which the pass builds anyway.  A dense largest level
+builds no leaf row: each chunk of rows one level short is turned straight
+into its leaves' bins, since a leaf's cell in the chunk's table block is
+``row << bits | activity``, so its bin is that cell plus an offset of its
+row.  Each chunk's leaves are added into their bins with ``np.add.at`` as
+soon as they are built, so no leaf is held and no step costs O(span).  A
+variant that occurs once adds exactly 1 to a cardinality and 0 to an entropy
+sum, and a row never leaves its variant's view.  So each first activity is
+grown twice, from the views of variants that occur once and then from the
+others', and every chunk holds one kind of row: a count-1 chunk adds 1 to
+its cardinality bins alone, and only repeated variants' chunks read their
+weights.  When a first activity closes, the non-empty bins are its
+candidates in canonical order.  Wider alphabets, larger sizes and multi-word
+keys hold their rows as keys, the largest level like any other, and sort
+them with the keys so far once they outnumber both those keys and
+``_FRONTIER_CAP`` (2**16).  Dense bins or sorting is chosen per size, so one
 pass may use both.  A size whose candidates exceed the cap stops its own
-reduction, and what its consumer got so far is dropped; the others finish.
+reduction and hands over no further part; the others finish.
 
 Each first activity's candidates of a size become one part as the first
-activity closes, and the part goes at once to the size's consumer.  The
-risk path folds each part into the running sums of its measures and drops
-it, so it holds no index.  A library caller's consumer is the size's index,
-which keeps the parts as they came and joins them only when asked for a
-whole array.
+activity closes, and the pass hands it at once to one callback,
+``fold(size, keys, cardinalities, entropy sums)``, whatever its size.  The
+risk path folds each part into the running sums of its cell and drops it,
+and the candidate dump writes the part's rows from the same pass, so
+neither holds an index.  Without a callback each part is appended to its
+size's index, which keeps the parts as they came and joins them only when
+asked for a whole array.
 
 The index keeps only the keys, those aggregates and the activity labels;
 callers that need a candidate's matching traces get them from
@@ -205,55 +207,86 @@ def _key_digits(keys: np.ndarray, size: int, bits: int) -> Iterator[np.ndarray]:
             yield (word >> (bits * (n - 1 - i))) & mask
 
 
+def _element_blocks(parts: Iterable, size: int, bits: int) -> Iterator:
+    """The activity ids of the parts' candidates, one row each, decoded from the keys.
+
+    Yields (ids, cardinalities) for blocks of at most 65,536 candidates
+    of one part.
+    """
+    step = 1 << 16
+    for keys, cards, *_ in parts:
+        for lo in range(0, len(cards), step):
+            columns = list(_key_digits(keys[lo : lo + step], size, bits))
+            yield np.stack(columns, axis=1), cards[lo : lo + step]
+
+
+def csv_writer(out: TextIO, labels: Sequence[str], size: int) -> Callable[[Iterable], None]:
+    """Start a debug dump of size-``size`` candidates: one ``candidate,cardinality`` CSV row each.
+
+    Writes the header to ``out`` and returns the function that writes the
+    rows of the parts it is given, in the order given; the parts of a size
+    in the order the enumeration pass builds them give canonical order.  A
+    candidate is its labels joined by ``|``; a name holding a comma, quote
+    or line break is quoted as RFC 4180 asks.
+    """
+    csv.writer(out, lineterminator="\n").writerow(("candidate", "cardinality"))
+    # Each label as the csv module writes it; a name with a quoted label
+    # is quoted whole, its inner quotes doubled.
+    cells = []
+    for label in labels:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow((label, ""))
+        cells.append(buf.getvalue()[: -len(",\n")])
+    quoted = np.array([c != label for c, label in zip(cells, labels)], dtype=bool)
+    inner = [c[1:-1] if q else c for c, q in zip(cells, quoted)]
+    first = np.array(inner, dtype=object)
+    later = np.array(["|" + c for c in inner], dtype=object)
+
+    def write(parts: Iterable) -> None:
+        for ids, cards in _element_blocks(parts, size, _key_bits(len(labels))):
+            name = first[ids[:, 0]]
+            for column in ids.T[1:]:
+                name = name + later[column]
+            wrap = quoted[ids].any(axis=1)
+            name[wrap] = '"' + name[wrap] + '"'
+            out.writelines(f"{n},{c}\n" for n, c in zip(name.tolist(), cards.tolist()))
+
+    return write
+
+
 class CandidateIndex:
     """All size-l candidates of one type with non-empty projections.
 
-    The index is the enumeration pass's default consumer: it keeps the parts
-    the pass hands it, one per first activity, first activities ascending.
-    A part is (keys, cardinalities, entropy sums) of its candidates in
-    canonical ascending order; its keys are packed, one row each of a
-    (candidates, words) int64 array.  Besides the keys the index holds only
-    what the risk measures read: each candidate's multiplicity-weighted
-    projection size and its entropy sum ``sum(count * log2 count)`` over
-    matching variants, plus the activity labels :meth:`write_csv` prints.
-    :meth:`cardinalities` and :meth:`entropy_sums` join the parts on each
-    call.  A candidate's matching traces come from :func:`project`.
+    The index keeps the parts the enumeration pass built, one per first
+    activity, first activities ascending.  A part is (keys, cardinalities,
+    entropy sums) of its candidates in canonical ascending order; its keys
+    are packed, one row each of a (candidates, words) int64 array.  Besides
+    the keys the index holds only what the risk measures read: each
+    candidate's multiplicity-weighted projection size and its entropy sum
+    ``sum(count * log2 count)`` over matching variants, plus the activity
+    labels :meth:`write_csv` prints.  :meth:`cardinalities` and
+    :meth:`entropy_sums` join the parts on each call.  A candidate's
+    matching traces come from :func:`project`.
     """
 
-    def __init__(self, labels: Sequence[str], bk_type: BkType, size: int, bits: int):
-        self._labels = tuple(labels)
-        self.bk_type, self.size, self._bits = bk_type, size, bits
-        self._parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def __call__(self, keys: np.ndarray, cards: np.ndarray, entsums: np.ndarray) -> None:
-        self._parts.append((keys, cards, entsums))
+    def __init__(self, labels: Sequence[str], bk_type: BkType, size: int, parts: Iterable):
+        self._labels, self._parts = tuple(labels), list(parts)
+        self.bk_type, self.size = bk_type, size
 
     @property
     def candidate_count(self) -> int:
         return sum(len(cards) for _, cards, _ in self._parts)
 
-    def _element_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The activity ids of the candidates, one row each, decoded from the keys.
-
-        Yields (ids, cardinalities) for blocks of at most 65,536 candidates
-        of one part.
-        """
-        step = 1 << 16
-        for keys, cards, _ in self._parts:
-            for lo in range(0, len(cards), step):
-                columns = list(_key_digits(keys[lo : lo + step], self.size, self._bits))
-                yield np.stack(columns, axis=1), cards[lo : lo + step]
-
     def parts(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """(keys, cardinalities, entropy sums) of each first activity's candidates.
 
-        These are the parts the enumeration pass handed over, first
-        activities ascending.
+        These are the parts the enumeration pass built, first activities
+        ascending.
         """
         return iter(self._parts)
 
     def candidates(self) -> Iterator[Candidate]:
-        for block, _ in self._element_blocks():
+        for block, _ in _element_blocks(self._parts, self.size, _key_bits(len(self._labels))):
             for elements in block.tolist():
                 yield Candidate(self.bk_type, tuple(elements))
 
@@ -266,31 +299,8 @@ class CandidateIndex:
         return np.concatenate([np.empty(0), *(e for _, _, e in self._parts)])
 
     def write_csv(self, out: TextIO) -> None:
-        """Debug dump: one ``candidate,cardinality`` CSV row in canonical order.
-
-        A candidate is its labels joined by ``|``; a name holding a comma,
-        quote or line break is quoted as RFC 4180 asks.
-        """
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("candidate", "cardinality"))
-        # Each label as the csv module writes it; a name with a quoted label
-        # is quoted whole, its inner quotes doubled.
-        cells = []
-        for label in self._labels:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow((label, ""))
-            cells.append(buf.getvalue()[: -len(",\n")])
-        quoted = np.array([c != label for c, label in zip(cells, self._labels)], dtype=bool)
-        inner = [c[1:-1] if q else c for c, q in zip(cells, quoted)]
-        first = np.array(inner, dtype=object)
-        later = np.array(["|" + c for c in inner], dtype=object)
-        for part, cards in self._element_blocks():
-            name = first[part[:, 0]]
-            for column in part.T[1:]:
-                name = name + later[column]
-            wrap = quoted[part].any(axis=1)
-            name[wrap] = '"' + name[wrap] + '"'
-            out.writelines(f"{n},{c}\n" for n, c in zip(name.tolist(), cards.tolist()))
+        """Debug dump: one ``candidate,cardinality`` CSV row per candidate, as :func:`csv_writer`."""
+        csv_writer(out, self._labels, self.size)(self._parts)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -347,12 +357,12 @@ class _Reduction:
     cardinality bins alone.  Sorted leaves are held until they reach a
     limit, then grouped with ``acc``, that first activity's sorted (keys,
     cardinalities, entropy sums).  Each first activity's candidates
-    become one part, handed to ``consumer`` as the first activity closes.
-    Past ``cap`` distinct candidates the reduction stops, drops its
-    consumer, and ``error`` holds the :class:`CandidateLimitError`.
+    become one part, which :meth:`close` returns.  Past ``cap`` distinct
+    candidates the reduction stops and ``error`` holds the
+    :class:`CandidateLimitError`.
     """
 
-    def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights, consumer):
+    def __init__(self, bk_type: BkType, size: int, bits: int, cap: int, weights):
         self.bk_type, self.size, self.cap = bk_type, size, cap
         self.weights = weights  # each table row's trace count and count * log2 count
         self.n_words = -(-size // (63 // bits))
@@ -365,7 +375,7 @@ class _Reduction:
         # those it filled.
         self.acc = [np.zeros(self.span), np.zeros(self.span)] if self.dense else None
         self.leaves, self.held, self.opened = [], 0, False
-        self.consumer, self.found, self.error = consumer, 0, None
+        self.found, self.error = 0, None
 
     def hold(self, keys: np.ndarray, pos: np.ndarray | None, ones: bool) -> None:
         """Take leaves as keys and the table position each was reached at.
@@ -406,17 +416,17 @@ class _Reduction:
     def check(self, count: int) -> None:
         if count > self.cap:
             self.error = CandidateLimitError(self.bk_type, self.size, count=count, cap=self.cap)
-            self.acc, self.leaves, self.consumer = None, [], None
+            self.acc, self.leaves = None, []
 
-    def close(self, a: int) -> None:
-        """End first activity ``a``: its candidates, if any, go to the consumer as one part."""
+    def close(self, a: int):
+        """End first activity ``a``: the part of its candidates, or ``None`` if it has none."""
         if not self.opened:
-            return
+            return None
         self.opened = False
         if self.leaves:
             self.reduce()
         if self.error is not None:
-            return
+            return None
         if self.dense:
             present = np.flatnonzero(self.acc[0] > 0)
             part = ((present | a << self.shift)[:, None], *(b[present] for b in self.acc))
@@ -426,14 +436,15 @@ class _Reduction:
             part, self.acc = self.acc, None
         self.found += len(part[1])
         self.check(self.found)
-        if self.error is None and len(part[1]):
-            self.consumer(part[0], part[1].astype(np.int64), part[2])
+        if self.error is not None or not len(part[1]):
+            return None
+        return part[0], part[1].astype(np.int64), part[2]
 
 
 def _wanted_sizes(sizes: Iterable) -> list[int]:
     """The distinct requested sizes, ascending; ``ValueError`` unless each is an integer >= 1."""
     given = tuple(sizes)
-    if not all(isinstance(s, numbers.Integral) for s in given):
+    if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
         raise ValueError("candidate sizes must be integers")
     wanted = sorted({int(s) for s in given})
     if not wanted:
@@ -449,7 +460,7 @@ def enumerate_candidates(
     sizes: int | Iterable[int],
     cap: int = DEFAULT_CANDIDATE_CAP,
     *,
-    fold: Callable[[], Callable[[np.ndarray, np.ndarray, np.ndarray], None]] | None = None,
+    fold: Callable[[int, np.ndarray, np.ndarray, np.ndarray], None] | None = None,
 ):
     """Build the index of all candidates of each requested size with matching traces.
 
@@ -486,15 +497,15 @@ def enumerate_candidates(
     past ``cap``, to its :class:`CandidateLimitError`; a size over the cap
     stops its own reduction, and the other sizes still finish.
 
-    Each size's candidates go to a consumer, one non-empty part at a time:
-    ``(keys, cardinalities, entropy sums)`` of one first activity's
-    candidates, as soon as that first activity closes, first activities
-    ascending.  By default a size's consumer is its :class:`CandidateIndex`,
-    which keeps the parts.  ``fold``, when given, is called with no
-    arguments once per distinct requested size, in ascending order of size,
-    and what it returns is that size's consumer; no index is built.  The
-    result holds each size's consumer, and a size over the cap drops its
-    consumer.
+    Each size's candidates come in non-empty parts: ``(keys,
+    cardinalities, entropy sums)`` of one first activity's candidates, as
+    soon as that first activity closes, first activities ascending.  By
+    default a size's :class:`CandidateIndex` keeps its parts.  ``fold``,
+    when given, is called as ``fold(size, keys, cardinalities, entropy
+    sums)`` with every part of every size, and no index is built; the
+    result then maps each size to its :class:`CandidateLimitError` or
+    ``None``.  A size over the cap hands over no further part, so the
+    parts it did hand over are not all its candidates.
     """
     if not isinstance(bk_type, BkType):
         raise ValueError(f"unknown background-knowledge type {bk_type!r}")
@@ -516,9 +527,9 @@ def enumerate_candidates(
     # The views' starts, split by whether their variant occurs once.
     unit = np.asarray(log.counts) == 1
     groups = ((True, starts[unit]), (False, starts[~unit]))
-    reductions = [_Reduction(bk_type, size, bits, cap, weights,
-                             fold() if fold else CandidateIndex(log.labels, bk_type, size, bits))
-                  for size in wanted]
+    reductions = [_Reduction(bk_type, size, bits, cap, weights) for size in wanted]
+    kept: dict[int, list] = {size: [] for size in wanted}
+    hand = fold or (lambda size, *part: kept[size].append(part))
     # Rows per expansion step.  Their table block is padded to a power of
     # two wide, so it holds at most ``2 * _FRONTIER_CAP`` cells.
     chunk = max(1, _FRONTIER_CAP // n_labels)
@@ -616,11 +627,18 @@ def enumerate_candidates(
                     reach(level + 1, *expand(level, pos, keys), ones)
                 else:
                     last.hold(*bin_leaves(level, pos, keys[:, 0], last.span, ones), ones)
-        for r in live.values():
-            r.close(a)
+        for r in reductions:
+            part = r.close(a)
+            if part is not None:
+                hand(r.size, *part)
+            elif r.error is not None:
+                kept[r.size].clear()
+        # Not held while the next first activity grows.
+        del part
 
-    found = {r.size: r.error or r.consumer for r in reductions}
-    if not single:
+    found = {size: r.error or (None if fold else CandidateIndex(log.labels, bk_type, size, parts))
+             for (size, parts), r in zip(kept.items(), reductions)}
+    if fold or not single:
         return found
     if isinstance(found[wanted[0]], CandidateLimitError):
         raise found[wanted[0]]

@@ -15,7 +15,9 @@ exit code reflects the most severe failure category.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -24,10 +26,11 @@ import time
 from pathlib import Path
 
 from .anonymize import AnonymizationConfig, Strategy, k_anonymize
-from .background import BkType, DEFAULT_CANDIDATE_CAP, enumerate_candidates
+# ``enumerate_candidates`` is no longer called here; bench/tracing.py wraps the name.
+from .background import BkType, DEFAULT_CANDIDATE_CAP, csv_writer, enumerate_candidates  # noqa: F401
 from .errors import InputError, LogPrivacyError, SolverError
 from .event_log import ColumnMapping, EventLog, RowError, build_log, ingest_csv, ingest_xes, stats
-from .risk import Aggregation, risk_profile
+from .risk import Aggregation, _risk_profile, risk_profile
 from .utility import GroundCost, build_problem, data_utility, solve, utility_report, write_plan_csv
 
 EXIT_OK = 0
@@ -236,22 +239,37 @@ def _stats_table(results: dict) -> None:
         print(f"{key:>22}  {shown}")
 
 
+def _dump_hook(dump_dir: str, labels, files: contextlib.ExitStack):
+    """The part hook that writes each cell's candidate CSV while its pass scores it.
+
+    A cell's file is opened at its first part and removed when the cell's
+    parts are dropped at the cap, so only scored cells keep a file.
+    """
+    dump_dir = Path(dump_dir)
+    dump_dir.mkdir(parents=True, exist_ok=True)
+    opened = {}
+
+    def dump(bk_type: BkType, size: int, part) -> None:
+        path = dump_dir / f"candidates_{bk_type.value}_{size}.csv"
+        if part is None and path in opened:
+            opened.pop(path)[0].close()
+            path.unlink()
+        elif part is not None:
+            if path not in opened:
+                fh = files.enter_context(open(path, "w", encoding="utf-8", newline=""))
+                opened[path] = fh, csv_writer(fh, labels, size)
+            opened[path][1]([part])
+
+    return dump
+
+
 def _cmd_risk(args, timing: dict[str, float]) -> tuple[dict[str, str], dict, int]:
     log, errors, digest = _load_log(args.log, args, timing)
-    t0 = time.perf_counter()
-    profile = risk_profile(log, args.types, args.sizes, args.aggregation, cap=args.cap)
-    timing["risk"] = time.perf_counter() - t0
-    if args.dump_candidates:
-        dump_dir = Path(args.dump_candidates)
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        for bk_type in args.types:
-            sizes = [size for t, size in profile.scores if t is bk_type]
-            if not sizes:
-                continue
-            for size, index in enumerate_candidates(log, bk_type, sizes, cap=args.cap).items():
-                path = dump_dir / f"candidates_{bk_type.value}_{size}.csv"
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    index.write_csv(fh)
+    with contextlib.ExitStack() as files:
+        dump = _dump_hook(args.dump_candidates, log.labels, files) if args.dump_candidates else None
+        t0 = time.perf_counter()
+        profile = _risk_profile(log, args.types, args.sizes, args.aggregation, args.cap, dump)
+        timing["risk"] = time.perf_counter() - t0
     cells, skipped, failures = _cells_payload(profile)
     results = {
         "aggregation": args.aggregation.value,
@@ -376,9 +394,9 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--types", type=_parse_types, default=list(BkType),
+    sub.add_argument("--types", type=_parse_types, default=tuple(BkType),
                      help="comma list of background-knowledge types (default: set,mult,seq)")
-    sub.add_argument("--sizes", type=_parse_sizes, default=list(range(1, 7)),
+    sub.add_argument("--sizes", type=_parse_sizes, default=tuple(range(1, 7)),
                      help="sizes, e.g. '1-6' or '1,3,5' (default: 1-6)")
     sub.add_argument("--aggregation", type=lambda s: Aggregation(s.lower()),
                      default=Aggregation.AVERAGE, choices=list(Aggregation),
@@ -387,7 +405,9 @@ def _add_grid_flags(sub: argparse.ArgumentParser) -> None:
                      help=f"candidate cap per cell (default: {DEFAULT_CANDIDATE_CAP})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="logprivacy",
                      description="Disclosure risk and data utility for process-mining event logs")
     commands = parser.add_subparsers(dest="command", required=True)
@@ -403,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_risk)
     p_risk.add_argument("--dump-candidates", default=None, metavar="DIR",
                         help="debug: write per-cell candidate,cardinality CSVs "
-                             "(enumerates each type once more, over its scored sizes)")
+                             "of the scored cells, as the risk passes score them")
     p_risk.set_defaults(func=_cmd_risk, table_func=_risk_table)
 
     p_util = commands.add_parser("utility", help="earth mover's distance between two logs")
@@ -418,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("log")
     _add_input_flags(p_sweep)
     _add_grid_flags(p_sweep)
-    p_sweep.add_argument("--k-values", type=_parse_k_values, default=[1, 20, 40, 60],
+    p_sweep.add_argument("--k-values", type=_parse_k_values, default=(1, 20, 40, 60),
                          help="comma list of k values (default: 1,20,40,60)")
     p_sweep.add_argument("--strategy", type=lambda s: Strategy(s.lower()),
                          default=Strategy.SUPPRESS, choices=list(Strategy),

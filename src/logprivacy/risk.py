@@ -12,26 +12,26 @@ at a time, in canonical order: :func:`risk_profile` folds each part as the
 enumeration pass closes it and keeps no index, and :func:`case_disclosure`
 and :func:`trace_disclosure` fold a library index's parts the same way, so
 both give the same floats.
+
+Each pass of :func:`risk_profile` hands its parts to one callback that
+files them by (type, size) cell.  A multiset pass in a grid that also asks
+for sets files each part's strictly increasing rows under the set cell of
+its size as well: those rows are the set candidates, with the same keys and
+the same matching variants.  The CLI's candidate dump takes each cell's
+parts from the same callback, so scoring and dumping share one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .background import (
-    BkType,
-    CandidateIndex,
-    DEFAULT_CANDIDATE_CAP,
-    _key_bits,
-    _key_digits,
-    _wanted_sizes,
-    enumerate_candidates,
-)
-from .errors import CandidateLimitError
+from .background import BkType, CandidateIndex, DEFAULT_CANDIDATE_CAP, enumerate_candidates
+from .background import _key_bits, _key_digits, _wanted_sizes
 from .event_log import EventLog
 
 
@@ -97,53 +97,6 @@ class _Sums:
         return self.uniq_sum / self.n, 1.0 - self.ratio_sum / self.n
 
 
-class _MultAndSet:
-    """A multiset size's sums, and those of the set candidates among its candidates.
-
-    A set candidate is a multiset candidate whose activities strictly
-    increase: it has the same packed key and matches the same variants,
-    which add the same trace counts.  So each part of a multiset size is
-    folded whole into ``mult`` and, restricted to its strictly increasing
-    keys, into ``set``.
-    """
-
-    def __init__(self, size: int, bits: int):
-        self.size, self.bits = size, bits
-        self.mult, self.set = _Sums(), _Sums()
-
-    def __call__(self, keys: np.ndarray, cards: np.ndarray, entsums: np.ndarray) -> None:
-        self.mult(keys, cards, entsums)
-        digits = _key_digits(keys, self.size, self.bits)
-        prev = next(digits)
-        rising = np.ones(len(cards), dtype=bool)
-        for digit in digits:
-            rising &= digit > prev
-            prev = digit
-        if rising.any():
-            self.set(keys[rising], cards[rising], entsums[rising])
-
-
-def _set_and_mult(log: EventLog, sizes: list[int], cap: int) -> tuple[dict, dict]:
-    """The set and the multiset sums of each size, from one multiset pass where it can.
-
-    A size whose multiset candidates exceed the cap loses its set sums with
-    them, so its set candidates, which may fit the cap, get a set pass of
-    their own.  Each value is a :class:`_Sums` or a
-    :class:`CandidateLimitError`.
-    """
-    bits = _key_bits(len(log.labels))
-    # The pass makes one consumer per distinct size, in ascending order.
-    ascending = iter(sizes)
-    both = enumerate_candidates(log, BkType.MULTISET, sizes, cap=cap,
-                                fold=lambda: _MultAndSet(next(ascending), bits))
-    capped = [size for size, found in both.items() if isinstance(found, CandidateLimitError)]
-    mult = {size: found if size in capped else found.mult for size, found in both.items()}
-    sets = {size: found.set for size, found in both.items() if size not in capped}
-    if capped:
-        sets.update(enumerate_candidates(log, BkType.SET, capped, cap=cap, fold=_Sums))
-    return sets, mult
-
-
 def _fold(index: CandidateIndex) -> _Sums:
     if index.candidate_count == 0:
         raise ValueError("no candidates at this size")
@@ -187,8 +140,20 @@ def risk_profile(
     :class:`BkType`, no sizes, or a size that is not an integer >= 1 raise
     ``ValueError`` before any pass.
     """
-    type_list = list(types)
-    size_list = list(sizes)
+    return _risk_profile(log, types, sizes, aggregation, cap)
+
+
+def _risk_profile(log: EventLog, types, sizes, aggregation, cap, hook=None) -> RiskProfile:
+    """:func:`risk_profile`, handing each cell's parts to ``hook`` as its sums take them.
+
+    ``hook(bk_type, size, part)`` gets every part ``(keys, cardinalities,
+    entropy sums)`` a cell's sums take, in the order they take them, and
+    ``part=None`` when the pass drops the parts taken so far: the cell's
+    candidates exceeded the cap, or, for a set cell scored from the
+    multiset pass, that size's multiset candidates did.  Such a set cell
+    then gets the parts of a set pass.
+    """
+    type_list, size_list = list(types), list(sizes)
     if not type_list:
         raise ValueError("at least one background-knowledge type is required")
     if not all(isinstance(t, BkType) for t in type_list):
@@ -196,33 +161,55 @@ def risk_profile(
     wanted = _wanted_sizes(size_list)
     # A repeated type or size keeps its first place in grid order.
     distinct = list(dict.fromkeys(type_list))
-    found: dict[BkType, dict] = {}
-    if BkType.SET in distinct and BkType.MULTISET in distinct:
-        found[BkType.SET], found[BkType.MULTISET] = _set_and_mult(log, wanted, cap)
+    both = BkType.SET in distinct and BkType.MULTISET in distinct
+    bits = _key_bits(len(log.labels))
+    sums: dict[tuple[BkType, int], _Sums] = {}
+    errors: dict[tuple[BkType, int], str] = {}
+
+    def take(cell: tuple[BkType, int], part: tuple | None) -> None:
+        if part is None:
+            sums.pop(cell, None)
+        else:
+            sums.setdefault(cell, _Sums())(*part)
+        if hook:
+            hook(*cell, part)
+
+    def run(bk_type: BkType, sizes: list[int]) -> None:
+        """One pass of ``bk_type``; with sets in the grid, a multiset pass scores them too."""
+        sets = both and bk_type is BkType.MULTISET
+
+        def fold(size: int, *part) -> None:
+            take((bk_type, size), part)
+            if sets:
+                # A set candidate is a multiset candidate whose activities
+                # strictly increase: same key, same matching variants.
+                ids = np.array(list(_key_digits(part[0], size, bits)))
+                rising = (ids[1:] > ids[:-1]).all(axis=0)
+                if rising.any():
+                    take((BkType.SET, size), tuple(x[rising] for x in part))
+
+        lost = []
+        for size, error in enumerate_candidates(log, bk_type, sizes, cap=cap, fold=fold).items():
+            if error is not None:
+                errors[(bk_type, size)] = str(error)
+                take((bk_type, size), None)
+                if sets:
+                    take((BkType.SET, size), None)
+                    lost.append(size)
+        if lost:
+            # Their set candidates may still fit the cap.
+            run(BkType.SET, lost)
+
     for bk_type in distinct:
-        if bk_type not in found:
-            found[bk_type] = enumerate_candidates(log, bk_type, wanted, cap=cap, fold=_Sums)
-    scores: dict[tuple[BkType, int], RiskScore] = {}
-    skipped: dict[tuple[BkType, int], str] = {}
-    failures: dict[tuple[BkType, int], str] = {}
-    for bk_type in distinct:
-        cells = dict(found[bk_type])
-        for size in size_list:
-            sums = cells.pop(size, None)
-            if sums is None:
-                continue
-            if isinstance(sums, CandidateLimitError):
-                failures[(bk_type, size)] = str(sums)
-            elif sums.n == 0:
-                skipped[(bk_type, size)] = "no candidates at this size"
-            else:
-                cd, td = sums.scores(aggregation)
-                scores[(bk_type, size)] = RiskScore(
-                    bk_type=bk_type,
-                    size=size,
-                    cd=cd,
-                    td=td,
-                    n_candidates=sums.n,
-                    aggregation=aggregation,
-                )
+        if not (both and bk_type is BkType.SET):
+            run(bk_type, wanted)
+    scores, skipped, failures = {}, {}, {}
+    for cell in dict.fromkeys(itertools.product(distinct, size_list)):
+        if cell in errors:
+            failures[cell] = errors[cell]
+        elif cell in sums:
+            scores[cell] = RiskScore(*cell, *sums[cell].scores(aggregation), sums[cell].n,
+                                     aggregation)
+        else:
+            skipped[cell] = "no candidates at this size"
     return RiskProfile(scores=scores, skipped=skipped, failures=failures)

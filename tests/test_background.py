@@ -363,7 +363,7 @@ def test_a_dense_pass_holds_no_leaves():
     assert len(log.labels) == 16
     tracemalloc.start()
     try:
-        enumerate_candidates(log, BkType.MULTISET, [6], fold=lambda: lambda *part: None)
+        enumerate_candidates(log, BkType.MULTISET, [6], fold=lambda size, *part: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -452,6 +452,10 @@ class TestMultiSize:
             assert [(err.size, err.count) for err in (found[1], found[2])] == [(1, 6), (2, 8)]
             assert found[3].candidate_count == 5
             assert_same_index(found[3], enumerate_candidates(log, BkType.SET, 3))
+            # With ``fold`` each size maps to its error or None.
+            folded = enumerate_candidates(log, BkType.SET, [1, 2, 3], cap=5, fold=lambda *part: None)
+            assert [str(folded[s]) for s in (1, 2)] == [str(found[s]) for s in (1, 2)]
+            assert folded[3] is None
 
     def test_one_size_and_collections_of_sizes(self, example1_log):
         index = enumerate_candidates(example1_log, BkType.SET, 2)
@@ -462,8 +466,9 @@ class TestMultiSize:
             enumerate_candidates(example1_log, BkType.SET, 2, cap=3)
         assert isinstance(enumerate_candidates(example1_log, BkType.SET, (2,), cap=3)[2], CandidateLimitError)
         # A size that is not an integer is refused: 2.5 was once enumerated
-        # as size 2 and returned under key 2.
-        for sizes in ([], [0, 1], 0, 2.5, np.float64(2), [2.5], [2.5, 1], [1, 2.0], "2"):
+        # as size 2 and returned under key 2, and True as size 1.
+        for sizes in ([], [0, 1], 0, 2.5, np.float64(2), [2.5], [2.5, 1], [1, 2.0], "2",
+                      True, [True], [2, False]):
             with pytest.raises(ValueError):
                 enumerate_candidates(example1_log, BkType.SET, sizes)
         with pytest.raises(ValueError, match="cap must be >= 1"):
@@ -479,14 +484,17 @@ class TestMultiSize:
                 with pytest.raises(ValueError, match="type"):
                     enumerate_candidates(log, bk_type, sizes)
             with pytest.raises(ValueError, match="type"):
-                enumerate_candidates(log, bk_type, [1, 2], fold=list)
+                enumerate_candidates(log, bk_type, [1, 2], fold=lambda size, *part: None)
 
     def test_fold_gets_the_parts_an_index_splits_into(self, monkeypatch):
-        # ``fold`` gets each first activity's candidates as one part, and an
-        # index keeps the same parts.
-        class Handed(list):
-            def __call__(self, *part):
-                self.append(part)
+        # ``fold`` gets each first activity's candidates as one part, with
+        # its size, and an index keeps the same parts.
+        def handed_parts(log, bk_type, sizes):
+            handed = {size: [] for size in sizes}
+            found = enumerate_candidates(log, bk_type, sizes,
+                                         fold=lambda size, *part: handed[size].append(part))
+            assert found == dict.fromkeys(sizes)
+            return handed
 
         def assert_same_parts(handed, index):
             kept = list(index.parts())
@@ -513,10 +521,10 @@ class TestMultiSize:
         wide = EventLog.from_counts({tuple(labels[lo : lo + 12]): 2 for lo in range(0, 60, 6)})
         for _ in each_reduction(monkeypatch):
             for log, kind in itertools.product(self.logs(606), KINDS):
-                handed = enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4], fold=Handed)
+                handed = handed_parts(log, KINDS[kind], [1, 2, 3, 4])
                 for size, index in enumerate_candidates(log, KINDS[kind], [1, 2, 3, 4]).items():
                     assert_same_parts(handed[size], index)
-            handed = enumerate_candidates(wide, BkType.SEQUENCE, [9, 10], fold=Handed)
+            handed = handed_parts(wide, BkType.SEQUENCE, [9, 10])
             for size, index in enumerate_candidates(wide, BkType.SEQUENCE, [9, 10]).items():
                 assert_same_parts(handed[size], index)
             assert len(handed[10]) == 30

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import io
 import itertools
 import json
 import os
@@ -18,12 +19,16 @@ from logprivacy import (
     EventLog,
     SolverError,
     Strategy,
+    build_log,
     cli,
     data_utility,
+    enumerate_candidates,
+    ingest_csv,
     k_anonymize,
     risk_profile,
     utility,
 )
+from logprivacy.background import csv_writer
 from logprivacy.cli import EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_USAGE, main
 from oracles import markov_log_pair
 
@@ -275,6 +280,68 @@ class TestRisk:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert str(dump) in captured.err
+
+    def test_dump_writes_each_cell_from_the_pass_that_scores_it(self, capsys, tmp_path, monkeypatch):
+        log = markov_log_pair(3, 200, 6)[0]
+        path = write_log_csv(
+            tmp_path / "markov.csv",
+            {log.variant_labels(v): c for v, c in zip(log.variants, log.counts)},
+        )
+        read = build_log(ingest_csv(io.BytesIO(path.read_bytes())).events)
+        set_, mult, seq = BkType.SET, BkType.MULTISET, BkType.SEQUENCE
+        passes, written = [], []
+
+        def counted(log, bk_type, sizes, *args, **kwargs):
+            passes.append((bk_type, list(sizes)))
+            return enumerate_candidates(log, bk_type, sizes, *args, **kwargs)
+
+        def spied(out, labels, size):
+            write = csv_writer(out, labels, size)
+
+            def spy(parts):
+                written.append(Path(out.name).name)
+                write(parts)
+
+            return spy
+
+        monkeypatch.setattr(logprivacy.risk, "enumerate_candidates", counted)
+        monkeypatch.setattr(cli, "csv_writer", spied)
+
+        def dump(name, *flags):
+            passes.clear()
+            written.clear()
+            code, report = run_json(
+                capsys,
+                ["risk", str(path), "--types", "set,mult,seq", "--sizes", "1-4",
+                 "--dump-candidates", str(tmp_path / name), *flags],
+            )
+            files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+            # Every scored cell has a file, and it is the library index's dump.
+            scored = [(BkType(c["type"]), c["size"]) for c in report["results"]["cells"]]
+            assert sorted(files) == sorted(f"candidates_{t.value}_{s}.csv" for t, s in scored)
+            for bk_type, size in scored:
+                out = io.StringIO()
+                enumerate_candidates(read, bk_type, size).write_csv(out)
+                assert files[f"candidates_{bk_type.value}_{size}.csv"] == out.getvalue().encode()
+            return code, report
+
+        # Set cells are written from the multiset pass's rows.
+        code, report = dump("full")
+        assert code == EXIT_OK and len(report["results"]["cells"]) == 12
+        assert passes == [(mult, [1, 2, 3, 4]), (seq, [1, 2, 3, 4])]
+
+        # 6 activities: mult/2 (21 candidates) passes the cap at its fifth
+        # first activity, and seq/2 (36) at its fourth, after some of their
+        # rows were written.  Set/2-4 lose the rows the multiset pass wrote
+        # and get a set pass, in which set/3 (20) passes the cap at its
+        # third first activity.
+        code, report = dump("capped", "--cap", "18")
+        assert code == EXIT_RESOURCE
+        assert passes == [(mult, [1, 2, 3, 4]), (set_, [2, 3, 4]), (seq, [1, 2, 3, 4])]
+        failed = {f"candidates_{f['type']}_{f['size']}.csv" for f in report["results"]["failures"]}
+        assert {"candidates_mult_2.csv", "candidates_seq_2.csv", "candidates_set_3.csv"} <= failed
+        assert {"candidates_mult_2.csv", "candidates_seq_2.csv", "candidates_set_3.csv"} <= set(written)
+        assert [c["size"] for c in report["results"]["cells"] if c["type"] == "set"] == [1, 2, 4]
 
 
 class TestUtility:

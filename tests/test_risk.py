@@ -148,13 +148,14 @@ class TestRiskProfile:
 
     def test_non_integer_sizes_rejected_before_any_pass(self, example1_log, monkeypatch):
         # A size of 2.5 was once enumerated as size 2 and then filed under no
-        # cell, so the profile did not partition the grid.
+        # cell, so the profile did not partition the grid; True was scored
+        # as size 1 under the key (type, True).
         def refuse(*args, **kwargs):
             raise AssertionError("risk_profile ran a pass")
 
         with monkeypatch.context() as m:
             m.setattr(logprivacy.risk, "enumerate_candidates", refuse)
-            for sizes in ([2.5, 1], [1, 2.0], ["1"]):
+            for sizes in ([2.5, 1], [1, 2.0], ["1"], [True], [1, False]):
                 with pytest.raises(ValueError, match="integers"):
                     risk_profile(example1_log, [BkType.SEQUENCE, BkType.SET], sizes)
         profile = risk_profile(example1_log, [BkType.SET], [np.int64(2)])
@@ -344,22 +345,22 @@ class TestSetFromMult:
         assert list(both.failures) == [(set_, 3), *((mult, size) for size in sizes[1:])]
         self.assert_set_cells_agree(both, risk_profile(log, [set_], sizes, cap=18))
 
-    def test_fold_is_called_once_per_distinct_size_ascending(self, example1_log):
-        made = []
+    def test_each_part_reaches_fold_with_its_own_size(self, example1_log):
+        handed = {}
 
-        def fold():
-            consumer = CandidateIndex(example1_log.labels, BkType.MULTISET, 0, 2)
-            made.append(consumer)
-            return consumer
+        def fold(size, *part):
+            handed.setdefault(size, []).append(part)
 
         found = enumerate_candidates(example1_log, BkType.MULTISET, [3, 1, 4, 3, 2], fold=fold)
-        assert list(found) == [1, 2, 3, 4]
-        assert list(found.values()) == made
-        # Each consumer got its own size's candidates.
-        for size, consumer in found.items():
+        assert list(found.items()) == [(1, None), (2, None), (3, None), (4, None)]
+        assert sorted(handed) == [1, 2, 3, 4]
+        # The parts handed with a size are that size's candidates.
+        for size, parts in handed.items():
             alone = enumerate_candidates(example1_log, BkType.MULTISET, size)
-            assert [k.tolist() for k, _, _ in consumer.parts()] == [
-                k.tolist() for k, _, _ in alone.parts()]
+            assert len(parts) == len(list(alone.parts())) > 0
+            for got, expected in zip(parts, alone.parts()):
+                assert got[0].shape == (len(got[1]), 1)
+                assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
 
 @pytest.mark.skipif(
