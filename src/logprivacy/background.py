@@ -210,10 +210,10 @@ def _key_digits(keys: np.ndarray, size: int, bits: int) -> Iterator[np.ndarray]:
 def _element_blocks(parts: Iterable, size: int, bits: int) -> Iterator:
     """The activity ids of the parts' candidates, one row each, decoded from the keys.
 
-    Yields (ids, cardinalities) for blocks of at most 65,536 candidates
+    Yields (ids, cardinalities) for blocks of at most 8,192 candidates
     of one part.
     """
-    step = 1 << 16
+    step = 1 << 13
     for keys, cards, *_ in parts:
         for lo in range(0, len(cards), step):
             columns = list(_key_digits(keys[lo : lo + step], size, bits))
@@ -488,9 +488,9 @@ def enumerate_candidates(
     sorting is chosen for each size from the alphabet's width and the size
     alone, so one pass may use both.
 
-    ``bk_type`` must be a :class:`BkType`, and ``sizes`` one size or a
-    collection of them, each an integer; anything else raises
-    ``ValueError``.  For one size the index is returned,
+    ``bk_type`` must be a :class:`BkType`, ``sizes`` one size or a
+    collection of them, each an integer, and ``cap`` an integer >= 1;
+    anything else raises ``ValueError``.  For one size the index is returned,
     and more than ``cap`` distinct candidates raise
     :class:`CandidateLimitError` rather than return a partial index.  For a
     collection a dict maps each distinct size, ascending, to its index or,
@@ -511,8 +511,8 @@ def enumerate_candidates(
         raise ValueError(f"unknown background-knowledge type {bk_type!r}")
     single = not isinstance(sizes, Iterable)
     wanted = _wanted_sizes((sizes,) if single else sizes)
-    if cap < 1:
-        raise ValueError("candidate cap must be >= 1")
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"candidate cap must be an integer >= 1, got {cap!r}")
 
     n_labels = len(log.labels)
     bits = _key_bits(n_labels)

@@ -3,8 +3,8 @@
 An event log is reduced to its control-flow essence: every case becomes the
 sequence of activity labels it executed, ordered by timestamp, and the log is
 the multiset of those sequences.  Activity labels are interned to small
-integer ids once per log; all downstream computation works on id tuples and
-labels reappear only at I/O boundaries.
+integer ids, in sorted label order, once per log; all downstream computation
+works on id tuples and labels reappear only at I/O boundaries.
 """
 
 from __future__ import annotations
@@ -141,12 +141,14 @@ class LogStats:
 class EventLog:
     """An immutable multiset of non-empty variants with interned activities.
 
-    Variants are stored in canonical (lexicographic id tuple) order.  That
-    equals lexicographic label-sequence order only when ids are assigned to
-    sorted labels, as ``from_counts`` and ``build_log`` do.  The alphabet,
-    ``labels``, holds exactly the activities occurring in at least one
-    variant.  Two logs are equal when they have the same labelled variants
-    with the same counts, whatever their id assignments.
+    The alphabet, ``labels``, holds exactly the activities occurring in at
+    least one variant, strictly ascending, and an activity's id is its place
+    in it; labels in any other order are refused (``from_counts`` builds a
+    log from label sequences).  Variants are stored in canonical
+    (lexicographic id tuple) order, which is also lexicographic
+    label-sequence order.  So a log has one numbering, and two logs are
+    equal, and hash alike, exactly when their labels, variants and counts
+    are equal.
     """
 
     __slots__ = ("_variants", "_counts", "_labels", "_total", "_positions")
@@ -160,7 +162,7 @@ class EventLog:
         for v, c in zip(variants, counts):
             if not v:
                 raise ValueError("empty traces are not allowed in an event log")
-            if not isinstance(c, Integral):
+            if isinstance(c, bool) or not isinstance(c, Integral):
                 raise ValueError(f"variant count must be an integer, got {c!r}")
             if c < 1:
                 raise ValueError(f"variant count must be >= 1, got {c}")
@@ -169,8 +171,8 @@ class EventLog:
             raise ValueError("labels must be exactly the activities used by the variants")
         if any(not lab for lab in labels):
             raise ValueError("activity labels must be non-empty")
-        if len(set(labels)) != len(labels):
-            raise ValueError("activity labels must be distinct")
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise ValueError("activity labels must be distinct and ascending")
         order = sorted(range(len(variants)), key=lambda i: variants[i])
         svariants = tuple(tuple(variants[i]) for i in order)
         if len(set(svariants)) != len(svariants):
@@ -229,25 +231,15 @@ class EventLog:
     def __len__(self) -> int:
         return len(self._variants)
 
-    def _labelled_counts(self) -> dict[tuple[str, ...], int]:
-        return {self.variant_labels(v): c for v, c in zip(self._variants, self._counts)}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
-        if self is other:
-            return True
-        # Cheap summaries first: labelled counts cost a dict per log.
-        if (
-            len(self._variants) != len(other._variants)
-            or self._total != other._total
-            or set(self._labels) != set(other._labels)
-        ):
-            return False
-        return self._labelled_counts() == other._labelled_counts()
+        return (self._labels, self._variants, self._counts) == (
+            other._labels, other._variants, other._counts
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._labelled_counts().items()))
+        return hash((self._labels, self._variants, self._counts))
 
     def __repr__(self) -> str:
         return f"EventLog({len(self._variants)} variants, {self._total} traces)"

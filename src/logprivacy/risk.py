@@ -137,8 +137,8 @@ def risk_profile(
     whose multiset candidates exceed the cap.  Cells whose enumeration hits
     the candidate cap are recorded in ``failures`` with the error text; the
     remaining cells are still computed.  No types, a type that is not a
-    :class:`BkType`, no sizes, or a size that is not an integer >= 1 raise
-    ``ValueError`` before any pass.
+    :class:`BkType`, no sizes, or a size or ``cap`` that is not an integer
+    >= 1 raise ``ValueError`` before any pass.
     """
     return _risk_profile(log, types, sizes, aggregation, cap)
 

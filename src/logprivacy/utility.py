@@ -5,8 +5,10 @@ compared with a balanced transportation problem whose ground cost is the
 normalized edit distance between variants.  The minimal reallocation cost is
 the utility loss ``ul``; data utility is ``du = 1 - ul``.
 
-Every plan returned comes with a certificate of optimality.  ``data_utility``
-gives equal logs the identity plan, at cost 0, without a cost matrix.
+Every plan returned comes with a certificate of optimality.  Equal logs
+number their activities alike (ids follow the sorted labels), so they hold
+equal variant tuples in the same order, and ``data_utility`` gives them the
+identity plan, at cost 0, without a cost matrix.
 ``solve`` first tries sending each source variant whole to a closest sink
 variant, as merge-nearest anonymization does: when that meets every sink's
 count, each flow sits on its row's least cost, so the duals
@@ -72,7 +74,8 @@ class TransportProblem:
         if len(self.source_counts) != m or len(self.sink_counts) != n:
             raise ValueError("count vectors must match the variant lists")
         for side, counts in (("source", self.source_counts), ("sink", self.sink_counts)):
-            if not all(isinstance(c, Integral) and c > 0 for c in counts):
+            if not all(isinstance(c, Integral) and not isinstance(c, bool) and c > 0
+                       for c in counts):
                 raise InputError(f"{side} counts must all be positive integers")
             # Python ints, so the cross-scaled amounts in ``solve`` cannot overflow.
             object.__setattr__(self, f"{side}_counts", tuple(int(c) for c in counts))
@@ -372,20 +375,15 @@ def data_utility(
 ) -> UtilityReport:
     """Utility loss and preserved data utility between two logs.
 
-    Logs with the same labelled variants and counts lose nothing: the
-    identity plan is returned without computing any distance.  Otherwise
+    Equal logs lose nothing: they hold the same variants in the same order,
+    so the identity plan, each variant ``i`` to variant ``i``, is returned
+    without computing any distance.  Otherwise
     ``solve`` takes the problem, whose distances come from ``cost``, a
     :class:`GroundCost` of ``original``, or from one built for this call.
     """
     cost = GroundCost.of(original, cost)
     if original == anonymized:
-        if anonymized is original:
-            sink = range(len(original.variants))
-        else:
-            index = {anonymized.variant_labels(v): j for j, v in enumerate(anonymized.variants)}
-            sink = [index[labels] for labels in cost.rows]
-        flows = {(i, j): c / original.total_traces
-                 for i, (j, c) in enumerate(zip(sink, original.counts))}
+        flows = {(i, i): c / original.total_traces for i, c in enumerate(original.counts)}
         return UtilityReport(ul=0.0, du=1.0, plan=TransportPlan(flows=flows, objective=0.0))
     return utility_report(solve(build_problem(original, anonymized, cost=cost)))
 

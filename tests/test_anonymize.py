@@ -142,6 +142,15 @@ class TestIdentityAndInvariants:
             with pytest.raises(ValueError, match="another log"):
                 k_anonymize(other, AnonymizationConfig(k=2, strategy=strategy),
                             cost=GroundCost(example1_log))
+        # A cost built for a separately built equal log has the same rows in
+        # the same order.
+        twin = EventLog.from_counts({
+            example1_log.variant_labels(v): c
+            for v, c in zip(example1_log.variants, example1_log.counts)
+        })
+        for strategy in Strategy:
+            config = AnonymizationConfig(k=12, strategy=strategy)
+            assert k_anonymize(twin, config, cost=GroundCost(example1_log)) == k_anonymize(twin, config)
 
     def test_worst_case_disclosure_bounded_by_inverse_k(self):
         rng = random.Random(14)

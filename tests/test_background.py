@@ -20,6 +20,7 @@ from logprivacy import (
     enumerate_candidates,
     matches,
     project,
+    risk_profile,
 )
 from logprivacy import background as bg
 from oracles import itertools_candidate_index, markov_log_pair, naive_candidate_index, random_log
@@ -471,8 +472,12 @@ class TestMultiSize:
                       True, [True], [2, False]):
             with pytest.raises(ValueError):
                 enumerate_candidates(example1_log, BkType.SET, sizes)
-        with pytest.raises(ValueError, match="cap must be >= 1"):
-            enumerate_candidates(example1_log, BkType.SET, 2, cap=0)
+        # cap=True once failed only at the cap, and cap=2.5 was accepted.
+        for cap in (0, True, 2.5):
+            with pytest.raises(ValueError, match="cap must be an integer >= 1"):
+                enumerate_candidates(example1_log, BkType.SET, 2, cap=cap)
+            with pytest.raises(ValueError, match="cap must be an integer >= 1"):
+                risk_profile(example1_log, [BkType.SET], [2], cap=cap)
 
     def test_a_type_that_is_not_a_bk_type_is_refused(self):
         # "seq" was once enumerated as a set: 1 candidate here, not the 3
@@ -538,7 +543,7 @@ class TestDecoding:
     def test_blocks_inside_one_part(self):
         # One trace of 30 distinct activities: seq/6 has C(30, 6) = 593,775
         # candidates, and the part of a00 holds C(29, 5) = 118,755, more than
-        # one block of 65,536 rows.
+        # one block of 8,192 rows.
         log = EventLog.from_counts({tuple(self.labels): 3})
         assert list(log.labels) == self.labels
         index = enumerate_candidates(log, BkType.SEQUENCE, 6)
